@@ -438,11 +438,22 @@ def canonical_permutation_form(state: StrategyVector) -> tuple:
 
 
 class _Engine:
-    """Per-parameter lookup tables for the full strategy-space scan.
+    """Per-parameter lookup tables for the graph-by-graph Nash scan.
 
-    States are indexed in base 2^(n-1): player 0's strategy digit is the most
-    significant.  Results are therefore ordered, and contiguous index ranges
-    can be scanned independently and merged without affecting the output.
+    Because alpha > 0, a state in which both endpoints buy the same link is
+    never Nash: either buyer can drop it, keep the graph and save alpha.  A
+    Nash state is therefore a graph plus one owning endpoint per edge, and
+    player i's condition depends only on the graph and the set of edges i
+    owns.  Per graph the scan tests every owned set of every player once,
+    skips the graph when some player has no passing set, and otherwise
+    backtracks over the players in order: player i's edges to lower players
+    are already owned, i picks which of its remaining edges it buys, and a
+    failing owned set prunes the branch.
+
+    Hits are reported by their index in the full strategy space, base
+    2^(n-1) with player 0's strategy digit most significant, so sorting
+    them gives the order of a state-by-state scan, and contiguous ranges of
+    edge masks can be scanned independently and merged.
     """
 
     def __init__(self, params: GameParams):
@@ -454,7 +465,7 @@ class _Engine:
         self.digits_per_player = 1 << (n - 1)
         dist_sums, missing = structure_table(n)
         self.missing = missing
-        graphs = 1 << pair_count(n)
+        self.graph_count = graphs = 1 << pair_count(n)
         beta = sp.beta
         scale = sp.scale
         R = [0] * (graphs * n)
@@ -463,32 +474,16 @@ class _Engine:
             R[idx] = scale * dist_sums[idx] + (beta * miss if miss else 0)
         self.R = R
         B = self.digits_per_player
-        self.target_masks = [
-            [digit_to_targets(d, i) for d in range(B)] for i in range(n)
-        ]
         self.star_masks = [
             [star_mask(n, i, digit_to_targets(d, i)) for d in range(B)] for i in range(n)
         ]
         self.alpha_times_count = [sp.alpha * d.bit_count() for d in range(B)]
-        all_pairs = (1 << pair_count(n)) - 1
+        all_pairs = graphs - 1
         self.non_incident = [all_pairs & ~incident_mask(n, i) for i in range(n)]
         self._br_memo: dict = {}
 
     def total_states(self) -> int:
         return self.digits_per_player ** self.n
-
-    def decode(self, index: int) -> list:
-        digits = [0] * self.n
-        B = self.digits_per_player
-        for i in range(self.n - 1, -1, -1):
-            index, digits[i] = divmod(index, B)
-        return digits
-
-    def state_of(self, index: int) -> StrategyVector:
-        digits = self.decode(index)
-        return StrategyVector.from_masks(
-            [self.target_masks[i][d] for i, d in enumerate(digits)]
-        )
 
     def _best_alternative(self, player: int, others_graph: int, inc_full: int):
         """Min scaled cost over the player's strategies given everyone else."""
@@ -512,74 +507,61 @@ class _Engine:
         memo[key] = best
         return best
 
-    def scan_range(self, lo: int, hi: int) -> list:
-        """Indices in [lo, hi) whose states are Nash equilibria."""
+    def scan_graphs(self, lo: int, hi: int) -> list:
+        """Nash states whose edge mask lies in [lo, hi), unsorted.
+
+        Each hit is (index, owned target masks, social cost, disconnected);
+        the last two are computed once per graph and shared by its hits.
+        """
         n = self.n
-        B = self.digits_per_player
-        tm = self.target_masks
-        sm = self.star_masks
-        ac = self.alpha_times_count
+        sp = self.sp
+        alpha = sp.alpha
         R = self.R
+        missing = self.missing
         non_inc = self.non_incident
         best_alt = self._best_alternative
-        digits = self.decode(lo)
-        inc = [0] * n
+        B = self.digits_per_player
+        place = [B ** (n - 1 - i) for i in range(n)]
+        owned = [0] * n
         hits = []
-        idx = lo
-        while idx < hi:
-            g = 0
+
+        def assign(i: int, index: int):
+            if i == n:
+                found.append((index, tuple(owned)))
+                return
+            bit = 1 << i
+            forced = nbrs[i] & (bit - 1)  # i owns each edge to a lower player who did not buy it
+            for j in range(i):
+                if owned[j] & bit:
+                    forced ^= 1 << j
+            for t in passing[i].get(forced, ()):
+                owned[i] = t
+                assign(i + 1, index + targets_to_digit(t, i) * place[i])
+
+        for g in range(lo, hi):
+            nbrs = adjacency_masks(g, n)
+            gn = g * n
+            passing = []  # per player: passing owned sets, keyed by their part below the player
             for i in range(n):
-                g |= sm[i][digits[i]]
-            for i in range(n):
-                inc[i] = 0
-            dup = False
-            for j in range(n):
-                t = tm[j][digits[j]]
-                while t:
-                    low = t & -t
-                    inc[low.bit_length() - 1] |= 1 << j
-                    t ^= low
-            for i in range(n):
-                if tm[i][digits[i]] & inc[i]:
-                    dup = True  # mutual purchase: either side drops it and wins
+                nbr = nbrs[i]
+                lower = (1 << i) - 1
+                others = g & non_inc[i]
+                dist_cost = R[gn + i]
+                sets: dict = {}
+                for t in submasks_ascending(nbr):
+                    if alpha * t.bit_count() + dist_cost <= best_alt(i, others, nbr & ~t):
+                        sets.setdefault(t & lower, []).append(t)
+                if not sets:
                     break
-            if not dup:
-                ok = True
-                gn = g * n
-                for i in range(n):
-                    cur = ac[digits[i]] + R[gn + i]
-                    if cur > best_alt(i, g & non_inc[i], inc[i]):
-                        ok = False
-                        break
-                if ok:
-                    hits.append(idx)
-            idx += 1
-            for p in range(n - 1, -1, -1):
-                digits[p] += 1
-                if digits[p] < B:
-                    break
-                digits[p] = 0
+                passing.append(sets)
+            else:
+                found = []
+                assign(0, 0)
+                if found:
+                    cost = sp.to_cost(alpha * g.bit_count() + sum(R[gn:gn + n]))
+                    disconnected = any(missing[gn:gn + n])
+                    hits.extend((index, masks, cost, disconnected) for index, masks in found)
         return hits
-
-    def social_scaled(self, index: int):
-        digits = self.decode(index)
-        g = 0
-        total = 0
-        for i, d in enumerate(digits):
-            g |= self.star_masks[i][d]
-            total += self.alpha_times_count[d]
-        gn = g * self.n
-        for i in range(self.n):
-            total += self.R[gn + i]
-        return total
-
-    def is_disconnected(self, index: int) -> bool:
-        digits = self.decode(index)
-        g = 0
-        for i, d in enumerate(digits):
-            g |= self.star_masks[i][d]
-        gn = g * self.n
-        return any(self.missing[gn + i] for i in range(self.n))
 
 
 _worker_engine: Optional[_Engine] = None
@@ -591,7 +573,7 @@ def _init_worker(params: GameParams):
 
 
 def _worker_scan(bounds: tuple) -> list:
-    return _worker_engine.scan_range(*bounds)
+    return _worker_engine.scan_graphs(*bounds)
 
 
 @dataclass(frozen=True)
@@ -681,12 +663,17 @@ def enumerate_equilibria(
     override_guard: bool = False,
     max_coalition: Optional[int] = None,
 ) -> EnumerationResult:
-    """Scan every strategy vector and report the equilibrium set exactly.
+    """Find every Nash state exactly, graph by graph, and report the set.
 
-    The index space is split into contiguous ranges when ``workers`` > 1 and
-    merged in index order, so the result does not depend on the worker count.
-    Strong mode verifies one representative per player-permutation class (the
-    game is fully symmetric, so the verdict is class-invariant).
+    A mutual purchase is never Nash because alpha > 0, so the scan visits
+    each graph once and backtracks over the owner of each edge (see
+    :class:`_Engine`); equilibria come out in the index order of the full
+    strategy space, and ``states_examined`` is still that space's size,
+    2^(n(n-1)).  With ``workers`` > 1 the edge masks are split into
+    contiguous ranges and the hits merged in index order, so the result does
+    not depend on the worker count.  Strong mode verifies one representative
+    per player-permutation class (the game is fully symmetric, so the verdict
+    is class-invariant).
     """
     if mode not in ("nash", "strong"):
         raise ValueError(f"mode must be 'nash' or 'strong', got {mode!r}")
@@ -697,21 +684,22 @@ def enumerate_equilibria(
         raise GuardExceeded(f"enumeration limited to n <= {limit}, got {n}{hint}")
 
     engine = _Engine(params)
-    total = engine.total_states()
+    graphs = engine.graph_count
     if workers <= 1:
-        hit_indices = engine.scan_range(0, total)
+        hits = engine.scan_graphs(0, graphs)
     else:
-        chunk = -(-total // workers)
-        bounds = [(lo, min(lo + chunk, total)) for lo in range(0, total, chunk)]
+        chunk = -(-graphs // workers)
+        bounds = [(lo, min(lo + chunk, graphs)) for lo in range(0, graphs, chunk)]
         with ProcessPoolExecutor(
             max_workers=workers, initializer=_init_worker, initargs=(params,)
         ) as pool:
-            hit_indices = [i for part in pool.map(_worker_scan, bounds) for i in part]
+            hits = [hit for part in pool.map(_worker_scan, bounds) for hit in part]
+    hits.sort()
 
-    states = tuple(engine.state_of(i) for i in hit_indices)
-    scaled_costs = [engine.social_scaled(i) for i in hit_indices]
-    costs = tuple(engine.sp.to_cost(c) for c in scaled_costs)
-    disconnected = sum(1 for i in hit_indices if engine.is_disconnected(i))
+    target_sets = {m: _mask_to_set(m) for m in {m for hit in hits for m in hit[1]}}
+    states = tuple(StrategyVector(tuple(target_sets[m] for m in masks)) for _, masks, _, _ in hits)
+    costs = tuple(cost for _, _, cost, _ in hits)
+    disconnected = sum(1 for hit in hits if hit[3])
 
     optimum = social_optimum_bruteforce(params)
     worst = max(costs) if costs else None
@@ -751,7 +739,7 @@ def enumerate_equilibria(
     return EnumerationResult(
         params=params,
         mode=mode,
-        states_examined=total,
+        states_examined=engine.total_states(),
         equilibria=states,
         costs=costs,
         disconnected_count=disconnected,

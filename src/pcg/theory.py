@@ -293,16 +293,15 @@ def _ncg_reference_band(n: int, a: Fraction) -> PoaBound:
     unspecified exponents are merged into the o(n^eps) band.
     """
     prefix = "equilibria coincide with the infinite-penalty game: "
-    t_cbrt = (n / 2) ** (1 / 3)
-    t_sqrt = math.sqrt(n / 2)
+    half_n = Fraction(n, 2)
     t_log = 12 * n * _log(n)
     if a < 1:
         return PoaBound(prefix + "alpha < 1", "exact", Fraction(1), None, None)
     if a < 2:
         return PoaBound(prefix + "1 <= alpha < 2", "upper", Fraction(4, 3), None, None)
-    if a < t_cbrt:
+    if a**3 < half_n:
         return PoaBound(prefix + "2 <= alpha < (n/2)^(1/3)", "upper", Fraction(4), None, None)
-    if a < t_sqrt:
+    if a**2 < half_n:
         return PoaBound(
             prefix + "(n/2)^(1/3) <= alpha < sqrt(n/2)", "upper", Fraction(6), None, None
         )

@@ -49,6 +49,16 @@ def all_states(n):
     return (StrategyVector(combo) for combo in itertools.product(*choices))
 
 
+def states_in_index_order(n):
+    """Every state in enumeration order: player 0's purchase set is the most
+    significant digit, and bit k of a digit buys the k-th other player."""
+    others = [[j for j in range(n) if j != i] for i in range(n)]
+    for digits in itertools.product(range(1 << (n - 1)), repeat=n):
+        yield StrategyVector(
+            tuple(frozenset(o[k] for k in range(n - 1) if d >> k & 1) for o, d in zip(others, digits))
+        )
+
+
 EMPTY4 = sv(set(), set(), set(), set())
 
 
@@ -233,13 +243,33 @@ def test_enumeration_matches_per_state_checks_n3():
         assert result.states_examined == 64
 
 
-def test_enumeration_matches_sampled_checks_n4():
-    p = GameParams(4, F(3, 2), F(2))
-    found = set(enumerate_equilibria(p).equilibria)
-    rng = random.Random(4)
-    for _ in range(300):
-        state = random_state(4, rng)
-        assert (state in found) == is_nash(state, p).verdict
+@pytest.mark.parametrize(
+    "alpha, beta",
+    [(F(3, 2), INFINITE), (F(2), F(5, 2)), (F(1), F(3)), (F(3, 2), F(2))],
+    ids=["ncg-3_2", "disconnected-2-5_2", "1-3", "3_2-2"],
+)
+def test_enumeration_matches_per_state_checks_n4(alpha, beta):
+    p = GameParams(4, alpha, beta)
+    result = enumerate_equilibria(p)
+    direct = [s for s in states_in_index_order(4) if is_nash(s, p).verdict]
+    assert list(result.equilibria) == direct
+    assert result.states_examined == 4096
+
+
+def test_enumeration_n6_override():
+    # 2^30 strategy vectors, but only 2^15 graphs to visit
+    p = GameParams(6, F(3), F(5, 2))
+    result = enumerate_equilibria(p, override_guard=True)
+    assert result.states_examined == 1 << 30
+    found = set(result.equilibria)
+    for state in result.equilibria:
+        assert is_nash(state, p).verdict
+    for center in range(6):
+        star = canonical_state(CanonicalKind("periphery-star", center=center), 6)
+        assert is_nash(star, p).verdict
+        assert star in found
+    assert enumerate_equilibria(p, workers=2, override_guard=True) == result
+    assert len(result.equilibria) == 151
 
 
 def test_enumeration_worker_counts_agree():

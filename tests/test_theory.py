@@ -335,6 +335,24 @@ def test_ncg_reference_bands():
     assert b.symbolic == "< 1 + 6 n log(n) / alpha"
 
 
+def test_ncg_reference_band_edges_are_exact():
+    # (n/2)^(1/3) = 4 at n = 128, but the float cube root is 3.9999999999999996
+    below = bound_at(128, 4 - F(1, 10**17), INFINITE)
+    assert below.region.endswith("2 <= alpha < (n/2)^(1/3)")
+    assert below.value == F(4)
+    at = bound_at(128, F(4), INFINITE)
+    assert at.region.endswith("(n/2)^(1/3) <= alpha < sqrt(n/2)")
+    assert at.value == F(6)
+    # a rational above sqrt(5) but below the float math.sqrt(5)
+    x = F(22360679774997897, 10**16)
+    assert x * x > 5 and x < F(math.sqrt(5))
+    above = bound_at(10, x, INFINITE)
+    assert above.region.endswith("sqrt(n/2) <= alpha < 12 n log n")
+    assert above.kind == "asymptotic"
+    # the same edges hold below alpha = beta - 1, where the bands carry over
+    assert bound_at(128, 4 - F(1, 10**17), F(10)).value == F(4)
+
+
 def test_small_penalty_reuses_ncg_bands():
     # alpha < beta - 1: the equilibrium sets coincide, bands carry over
     pcg_bound = bound_at(4, F(3, 2), F(4))
