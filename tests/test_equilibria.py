@@ -10,15 +10,20 @@ Core claims:
   * size guards refuse oversized inputs instead of attempting them.
 """
 
+import dataclasses
 import itertools
 import random
 from fractions import Fraction as F
 
 import pytest
 
+from pcg.bitgraph import submasks_ascending
 from pcg.constructions import CanonicalKind, canonical_state
 from pcg.equilibria import (
+    CoalitionDeviation,
+    EquilibriumReport,
     GuardExceeded,
+    _submasks_upto,
     best_response,
     canonical_permutation_form,
     enumerate_equilibria,
@@ -41,12 +46,16 @@ def sv(*buys):
     return StrategyVector(tuple(frozenset(b) for b in buys))
 
 
-def all_states(n):
-    choices = [
+def strategy_choices(n):
+    """Every purchase set of every player."""
+    return [
         [frozenset(c) for k in range(n) for c in itertools.combinations(sorted(set(range(n)) - {i}), k)]
         for i in range(n)
     ]
-    return (StrategyVector(combo) for combo in itertools.product(*choices))
+
+
+def all_states(n):
+    return (StrategyVector(combo) for combo in itertools.product(*strategy_choices(n)))
 
 
 def states_in_index_order(n):
@@ -231,6 +240,101 @@ def test_strong_work_limit_refuses():
         is_strong(state, GameParams(5, F(1), F(2)), work_limit=10)
 
 
+def test_strong_rejects_mismatched_state_before_work_guard():
+    # a state of the wrong size is a usage error, even where the guard would refuse
+    state = sv({1}, set(), set(), set(), set())
+    with pytest.raises(ValueError, match="state has 5 players"):
+        is_strong(state, GameParams(9, F(1), F(2)))
+    with pytest.raises(ValueError, match="state has 5 players"):
+        is_strong(state, GameParams(4, F(1), F(2)), work_limit=1)
+
+
+def test_submasks_upto_is_the_ascending_scan_cut_by_size():
+    rng = random.Random(41)
+    for _ in range(60):
+        mask = rng.getrandbits(12)
+        for k in (0, 1, 2, 5, 12, INFINITE):
+            expected = [s for s in submasks_ascending(mask) if s.bit_count() <= k]
+            assert list(_submasks_upto(mask, k)) == expected
+
+
+def naive_strong_verdict(state, p, max_coalition=None):
+    """Try every coalition and every joint strategy with the Fraction cost model;
+    a move blocks only if every member's cost strictly drops."""
+    n = state.n
+    old = [individual_cost(state, i, p).total for i in range(n)]
+    options = strategy_choices(n)
+    for size in range(1, (max_coalition or n) + 1):
+        for coalition in itertools.combinations(range(n), size):
+            for joint in itertools.product(*(options[m] for m in coalition)):
+                moved = state
+                for member, strategy in zip(coalition, joint):
+                    moved = moved.replace(member, strategy)
+                if all(individual_cost(moved, m, p).total < old[m] for m in coalition):
+                    return False
+    return True
+
+
+STRONG_ORACLE_POINTS = [
+    (3, F(1), F(3)),
+    (3, F(2), INFINITE),
+    (4, F(1), F(3)),
+    (4, F(2), F(5, 2)),
+    (4, F(3, 2), INFINITE),
+    (4, F(1, 2), F(3, 2)),
+    (4, F(4), F(5)),
+]
+
+
+def test_strong_matches_naive_joint_enumeration():
+    rng = random.Random(2008)
+    cases = []
+    for n, a, b in STRONG_ORACLE_POINTS:
+        p = GameParams(n, a, b)
+        nash = enumerate_equilibria(p).equilibria
+        cases += [(s, p) for s in rng.sample(nash, min(4, len(nash)))]
+        cases += [(random_state(n, rng), p) for _ in range(2)]
+    refuted = 0
+    for state, p in cases:
+        for cap in (None, 2):
+            rep = is_strong(state, p, cap)
+            assert rep.verdict == naive_strong_verdict(state, p, cap), (state, p, cap)
+            if not rep.verdict:
+                assert len(rep.witness.players) <= (cap or p.n)
+                refuted += 1
+    assert refuted > 10
+
+
+def _n6_refutation(state, players, new_strategies, old_cost, new_cost):
+    return EquilibriumReport(False, None, CoalitionDeviation(
+        players=players,
+        old_strategies=tuple(state[m] for m in players),
+        new_strategies=tuple(frozenset(s) for s in new_strategies),
+        old_costs=(old_cost,) * len(players),
+        new_costs=(new_cost,) * len(players),
+    ))
+
+
+@pytest.mark.parametrize(
+    "kind, alpha, beta, witness",
+    [
+        ("periphery-star", F(4), F(3), None),
+        ("complete", F(1), F(3), None),
+        ("complete", F(1, 2), F(3, 2), None),
+        # three leaves close a triangle, one edge each: 9 drops to 8
+        ("center-star", F(1), F(3), ((1, 2, 3), ({2}, {3}, {1}), F(9), F(8))),
+        # three isolated players build a triangle: 15/2 drops to 7
+        ("empty", F(1, 2), F(3, 2), ((0, 1, 2), ({1}, {2}, {0}), F(15, 2), F(7))),
+    ],
+)
+def test_strong_n6_profiles_pinned(kind, alpha, beta, witness):
+    state = canonical_state(CanonicalKind.parse(kind), 6)
+    p = GameParams(6, alpha, beta)
+    assert is_nash(state, p).verdict
+    expected = EquilibriumReport(True, None, None) if witness is None else _n6_refutation(state, *witness)
+    assert is_strong(state, p) == expected
+
+
 # -- enumeration ----------------------------------------------------------------------
 
 
@@ -297,6 +401,22 @@ def test_enumeration_strong_mode_subset():
     for s in r.equilibria:
         if s not in strong:
             assert not is_strong(s, p).verdict
+
+
+def test_enumeration_strong_with_dedupe_equals_separate_runs():
+    p = GameParams(4, F(1), F(3))
+    strong_only = enumerate_equilibria(p, mode="strong")
+    dedupe_only = enumerate_equilibria(p, dedupe_iso=True)
+    both = enumerate_equilibria(p, mode="strong", dedupe_iso=True)
+    assert both.strong_equilibria and both.iso_class_count < len(both.equilibria)
+    iso_fields = {"iso_class_count", "iso_representatives"}
+    strong_fields = {"mode", "strong_equilibria", "strong_costs", "worst_strong_cost", "strong_poa"}
+    for field in dataclasses.fields(both):
+        value = getattr(both, field.name)
+        if field.name not in iso_fields:
+            assert value == getattr(strong_only, field.name), field.name
+        if field.name not in strong_fields:
+            assert value == getattr(dedupe_only, field.name), field.name
 
 
 def test_enumeration_guards():
