@@ -39,6 +39,8 @@ from .equilibria import (
 )
 from .game import (
     GameParams,
+    as_penalty,
+    as_rational,
     components,
     individual_cost,
     induce_graph,
@@ -63,17 +65,15 @@ class _Parser(argparse.ArgumentParser):
 # -- argument conversion ------------------------------------------------------------
 
 
-def _rational(text: str) -> Fraction:
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise argparse.ArgumentTypeError(f"expected a rational p/q, got {text!r}") from None
+def _arg(convert):
+    """An argparse type that reports ``convert``'s ValueError as a usage error."""
+    def parse(text: str):
+        try:
+            return convert(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
 
-
-def _penalty(text: str):
-    if text.strip().lower() == "inf":
-        return float("inf")
-    return _rational(text)
+    return parse
 
 
 def _uint(text: str) -> int:
@@ -87,16 +87,16 @@ def _value_list(convert):
     def parse(text: str):
         items = [part for part in text.split(",") if part.strip()]
         if not items:
-            raise argparse.ArgumentTypeError(f"empty list {text!r}")
+            raise ValueError(f"empty list {text!r}")
         return [convert(part) for part in items]
 
-    return parse
+    return _arg(parse)
 
 
 def _params_args(sub, required: bool = True):
     sub.add_argument("--n", type=int, required=required, help="number of players")
-    sub.add_argument("--alpha", type=_rational, required=required, help="edge price p/q")
-    sub.add_argument("--beta", type=_penalty, required=required, help="disconnection penalty p/q, or inf")
+    sub.add_argument("--alpha", type=_arg(as_rational), required=required, help="edge price p/q")
+    sub.add_argument("--beta", type=_arg(as_penalty), required=required, help="disconnection penalty p/q, or inf")
 
 
 def _params_of(args) -> GameParams:
@@ -104,7 +104,7 @@ def _params_of(args) -> GameParams:
 
 
 def _load_state(args):
-    with open(args.state, "r", encoding="utf-8") as handle:
+    with open(args.state, "rb") as handle:
         return parse_state(handle)
 
 
@@ -119,6 +119,7 @@ def _emit(text: str, out: Optional[str]):
 
 
 def _fmt(value) -> str:
+    """Report text: ``none``, ``true``/``false``, floats by repr, else as in state files."""
     if value is None:
         return "none"
     if isinstance(value, bool):
@@ -473,8 +474,8 @@ def build_parser() -> _Parser:
 
     sub = add("sweep", _cmd_sweep, "CSV sweep over a parameter grid")
     sub.add_argument("--n", type=_value_list(int), required=True, help="comma-separated list")
-    sub.add_argument("--alpha", type=_value_list(_rational), required=True, help="comma-separated list")
-    sub.add_argument("--beta", type=_value_list(_penalty), required=True, help="comma-separated list, inf allowed")
+    sub.add_argument("--alpha", type=_value_list(as_rational), required=True, help="comma-separated list")
+    sub.add_argument("--beta", type=_value_list(as_penalty), required=True, help="comma-separated list, inf allowed")
     sub.add_argument("--mode", choices=("nash", "strong"), default="nash")
     sub.add_argument("--workers", type=int, default=1)
     sub.add_argument("--override-guard", action="store_true")

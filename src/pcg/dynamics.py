@@ -20,14 +20,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import List, Optional, Tuple, Union
 
-from .equilibria import (
-    BEST_RESPONSE_MAX_N,
-    GuardExceeded,
-    _DirectScan,
-    _canonical_digits,
-    _mask_to_set,
-    digit_to_targets,
-)
+from .equilibria import _DirectScan, _mask_to_set
 from .game import GameParams, StrategyVector, cost_delta, random_state
 from .stateio import serialize_state
 
@@ -105,39 +98,24 @@ def _schedule(policy: DynamicsPolicy, n: int, round_no: int) -> List[int]:
     return order
 
 
-def _check_guard(n: int):
-    if n > BEST_RESPONSE_MAX_N:
-        raise GuardExceeded(f"dynamics limited to n <= {BEST_RESPONSE_MAX_N}, got {n}")
-
-
 def _select_move(
     state: StrategyVector, player: int, policy: DynamicsPolicy, params: GameParams
 ) -> Optional[frozenset]:
-    """The strategy the scheduled player switches to, or None to stay."""
+    """The strategy the scheduled player switches to, or None to stay.
+
+    Building the scan refuses oversized games and mismatched states, so every
+    entry point below fails on its first attempt rather than midway.
+    """
     scan = _DirectScan(state, params)
-    adj, inc = scan.player_context(player)
-    cur_mask = scan.masks[player]
-    cur = scan.strategy_cost(player, cur_mask, adj, inc)
+    cur = scan.current_cost(player)
     if policy.move_rule is MoveRule.FIRST_IMPROVING:
-        for d in _canonical_digits(params.n - 1):
-            mask = digit_to_targets(d, player)
-            if mask == cur_mask:
-                continue
-            if scan.strategy_cost(player, mask, adj, inc) < cur:
+        for mask, c in scan.alternatives(player):
+            if c < cur:  # never the current strategy, which costs cur
                 return _mask_to_set(mask)
         return None
-    best = None
-    first_min = None
-    for d in _canonical_digits(params.n - 1):
-        mask = digit_to_targets(d, player)
-        c = scan.strategy_cost(player, mask, adj, inc)
-        if best is None or c < best:
-            best = c
-            first_min = mask
-    if best < cur:
-        return _mask_to_set(first_min)
-    if policy.tie_rule is TieRule.CANONICAL_FIRST and first_min != cur_mask:
-        return _mask_to_set(first_min)
+    best, mins = scan.minimizers(player)
+    if best < cur or (policy.tie_rule is TieRule.CANONICAL_FIRST and mins[0] != scan.masks[player]):
+        return _mask_to_set(mins[0])
     return None
 
 
@@ -150,9 +128,6 @@ def step(
     fully quiet schedule returns the state unchanged with mover None, which
     means the state is a fixed point of the policy.
     """
-    _check_guard(params.n)
-    if state.n != params.n:
-        raise ValueError(f"state has {state.n} players, params expect {params.n}")
     for player in _schedule(policy, params.n, 0):
         new = _select_move(state, player, policy, params)
         if new is not None:
@@ -169,9 +144,6 @@ def run(start: StrategyVector, policy: DynamicsPolicy, params: GameParams) -> Dy
     previously seen (state, phase) pair is a proof of an infinite loop and
     reports the replaying segment.
     """
-    _check_guard(params.n)
-    if start.n != params.n:
-        raise ValueError(f"state has {start.n} players, params expect {params.n}")
     n = params.n
     track_cycles = policy.order is PlayerOrder.ROUND_ROBIN
     state = start

@@ -44,7 +44,10 @@ def as_rational(value) -> Fraction:
     """Convert ints, strings like ``3/2``, and Fractions to an exact Fraction."""
     if isinstance(value, float):
         raise ValueError(f"refusing inexact float {value!r}; pass a Fraction or 'p/q' string")
-    return Fraction(value)
+    try:
+        return Fraction(value)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"expected a rational p/q, got {value!r}") from None
 
 
 def as_penalty(value) -> Cost:
@@ -126,11 +129,6 @@ class StrategyVector:
         return tuple(out)
 
     @classmethod
-    def from_masks(cls, masks: Sequence[int]) -> "StrategyVector":
-        n = len(masks)
-        return cls(tuple(frozenset(j for j in range(n) if m >> j & 1) for m in masks))
-
-    @classmethod
     def empty(cls, n: int) -> "StrategyVector":
         return cls(tuple(frozenset() for _ in range(n)))
 
@@ -147,33 +145,12 @@ class InducedGraph:
     edges: tuple
     owners: tuple
 
-    def has_edge(self, i: int, j: int) -> bool:
-        a, b = (i, j) if i < j else (j, i)
-        return (a, b) in self.edges
-
-    def buyers(self, i: int, j: int) -> frozenset:
-        a, b = (i, j) if i < j else (j, i)
-        for edge, owner in zip(self.edges, self.owners):
-            if edge == (a, b):
-                return owner
-        raise KeyError(f"no edge ({a}, {b})")
-
-    def purchases_of(self, player: int) -> int:
-        return sum(1 for owner in self.owners if player in owner)
-
-    @property
-    def edge_count(self) -> int:
-        return len(self.edges)
-
     def adjacency(self) -> list:
         adj = [set() for _ in range(self.n)]
         for i, j in self.edges:
             adj[i].add(j)
             adj[j].add(i)
         return adj
-
-    def degree(self, player: int) -> int:
-        return sum(1 for i, j in self.edges if player in (i, j))
 
 
 def induce_graph(state: StrategyVector) -> InducedGraph:
@@ -194,22 +171,8 @@ class DistanceMatrix:
 
     entries: tuple
 
-    @property
-    def n(self) -> int:
-        return len(self.entries)
-
     def distance(self, i: int, j: int) -> Optional[int]:
         return self.entries[i][j]
-
-    def finite_sum(self, i: int) -> int:
-        return sum(d for d in self.entries[i] if d)
-
-    def missing_count(self, i: int) -> int:
-        return sum(1 for d in self.entries[i] if d is None)
-
-    @property
-    def connected(self) -> bool:
-        return all(d is not None for row in self.entries for d in row)
 
 
 def _bfs_row(adj: Sequence[set], source: int, n: int) -> list:
@@ -243,6 +206,12 @@ class CostBreakdown:
         return self.edge_cost + self.distance_cost + self.penalty_cost
 
 
+def check_players(state: StrategyVector, params: GameParams) -> None:
+    """Refuse a state whose player count differs from the game's."""
+    if state.n != params.n:
+        raise ValueError(f"state has {state.n} players, params expect {params.n}")
+
+
 def _penalty(beta: Cost, missing: int) -> Cost:
     # branch so INFINITE * 0 never happens
     return beta * missing if missing else Fraction(0)
@@ -250,8 +219,7 @@ def _penalty(beta: Cost, missing: int) -> Cost:
 
 def individual_cost(state: StrategyVector, player: int, params: GameParams) -> CostBreakdown:
     """alpha per bought link + distance to every reachable player + beta per unreachable one."""
-    if state.n != params.n:
-        raise ValueError(f"state has {state.n} players, params expect {params.n}")
+    check_players(state, params)
     graph = induce_graph(state)
     row = _bfs_row(graph.adjacency(), player, state.n)
     finite = sum(d for d in row if d)
@@ -269,8 +237,7 @@ def social_cost(state: StrategyVector, params: GameParams) -> Cost:
     Ownership-independent up to the total number of purchases: the distance
     and penalty terms depend only on the induced graph.
     """
-    if state.n != params.n:
-        raise ValueError(f"state has {state.n} players, params expect {params.n}")
+    check_players(state, params)
     graph = induce_graph(state)
     adj = graph.adjacency()
     finite = 0
@@ -323,42 +290,24 @@ class ComponentDecomposition:
     def nonsingleton(self) -> tuple:
         return tuple(c for c in self.components if c.size > 1)
 
-    def smallest_nonsingleton(self) -> Optional[Component]:
-        """The smallest component with at least two vertices (ties by vertex id)."""
-        candidates = self.nonsingleton()
-        if not candidates:
-            return None
-        return min(candidates, key=lambda c: (c.size, min(c.vertices)))
-
 
 def components(state: StrategyVector) -> ComponentDecomposition:
     return graph_components(induce_graph(state))
 
 
 def graph_components(graph: InducedGraph) -> ComponentDecomposition:
-    n = graph.n
-    adj = graph.adjacency()
-    seen = [False] * n
+    """Components from the distance rows: a vertex's row reaches exactly its component."""
+    rows = all_pairs_distances(graph).entries
+    seen: set = set()
     out = []
-    for start in range(n):
-        if seen[start]:
+    for start in range(graph.n):
+        if start in seen:
             continue
-        stack = [start]
-        seen[start] = True
-        verts = {start}
-        while stack:
-            v = stack.pop()
-            for w in adj[v]:
-                if not seen[w]:
-                    seen[w] = True
-                    verts.add(w)
-                    stack.append(w)
+        verts = frozenset(w for w, d in enumerate(rows[start]) if d is not None)
+        seen |= verts
         edge_count = sum(1 for i, j in graph.edges if i in verts)
-        diameter = 0
-        for v in verts:
-            row = _bfs_row(adj, v, n)
-            diameter = max(diameter, max(row[w] for w in verts))
-        out.append(Component(frozenset(verts), edge_count, diameter))
+        diameter = max(d for v in verts for d in rows[v] if d is not None)
+        out.append(Component(verts, edge_count, diameter))
     return ComponentDecomposition(tuple(out))
 
 

@@ -19,9 +19,9 @@ penalty prints as ``inf``.  ``parse_state(serialize_state(s, p))`` returns
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import TextIO, Tuple, Union
+from typing import BinaryIO, TextIO, Tuple, Union
 
-from .game import Cost, GameParams, INFINITE, StrategyVector, as_penalty, as_rational, is_infinite
+from .game import Cost, GameParams, StrategyVector, as_penalty, as_rational, check_players, is_infinite
 
 HEADER = "pcg-state v1"
 
@@ -41,21 +41,8 @@ def format_value(value: Cost) -> str:
     return str(Fraction(value))
 
 
-def parse_value(text: str, *, allow_inf: bool = False) -> Cost:
-    text = text.strip()
-    if text.lower() == "inf":
-        if not allow_inf:
-            raise ValueError("inf not allowed here")
-        return INFINITE
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"bad rational {text!r}") from exc
-
-
 def serialize_state(state: StrategyVector, params: GameParams) -> str:
-    if state.n != params.n:
-        raise ValueError(f"state has {state.n} players, params expect {params.n}")
+    check_players(state, params)
     lines = [
         HEADER,
         f"n {params.n}",
@@ -68,10 +55,21 @@ def serialize_state(state: StrategyVector, params: GameParams) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_state(text: Union[str, TextIO]) -> Tuple[StrategyVector, GameParams]:
-    """Parse a v1 state file; raises :class:`StateParseError` with a line number."""
-    if not isinstance(text, str):
+def parse_state(text: Union[str, bytes, TextIO, BinaryIO]) -> Tuple[StrategyVector, GameParams]:
+    """Parse a v1 state file; raises :class:`StateParseError` with a line number.
+
+    Bytes are decoded as UTF-8; a byte that does not decode is reported on
+    its line.
+    """
+    if not isinstance(text, (str, bytes)):
         text = text.read()
+    if isinstance(text, bytes):
+        try:
+            text = text.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            before = text[: exc.start].decode("utf-8")
+            line = len((before + "x").splitlines())
+            raise StateParseError(line, f"not UTF-8: byte {text[exc.start]:#04x}") from None
     raw_lines = text.splitlines()
     # trailing blank lines are tolerated, interior ones are not
     while raw_lines and not raw_lines[-1].strip():
@@ -84,10 +82,10 @@ def parse_state(text: Union[str, TextIO]) -> Tuple[StrategyVector, GameParams]:
     n = _parse_header_int(raw_lines, 2, "n")
     if n < 2:
         raise StateParseError(2, f"n must be >= 2, got {n}")
-    alpha = _parse_header_value(raw_lines, 3, "alpha", allow_inf=False)
+    alpha = _parse_header_value(raw_lines, 3, "alpha", as_rational)
     if alpha <= 0:
         raise StateParseError(3, f"alpha must be positive, got {format_value(alpha)}")
-    beta = _parse_header_value(raw_lines, 4, "beta", allow_inf=True)
+    beta = _parse_header_value(raw_lines, 4, "beta", as_penalty)
     if not beta > 1:
         raise StateParseError(4, f"beta must exceed 1, got {format_value(beta)}")
 
@@ -136,10 +134,10 @@ def _parse_header_int(lines: list, lineno: int, key: str) -> int:
         raise StateParseError(lineno, f"bad integer {value!r} for {key}") from None
 
 
-def _parse_header_value(lines: list, lineno: int, key: str, *, allow_inf: bool) -> Cost:
+def _parse_header_value(lines: list, lineno: int, key: str, convert) -> Cost:
     value = _header_field(lines, lineno, key)
     try:
-        return parse_value(value, allow_inf=allow_inf)
+        return convert(value.strip())
     except ValueError as exc:
         raise StateParseError(lineno, f"{key}: {exc}") from None
 

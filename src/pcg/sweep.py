@@ -72,11 +72,7 @@ class SweepSpec:
 
 
 def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, int):
-        return str(value)
-    return format_value(value)
+    return "" if value is None else format_value(value)
 
 
 def sweep_records(spec: SweepSpec) -> Iterator[tuple]:

@@ -28,6 +28,7 @@ from .game import (
     all_pairs_distances,
     as_penalty,
     as_rational,
+    check_players,
     components,
     induce_graph,
     is_infinite,
@@ -434,8 +435,7 @@ def compo_poa_decomposition(state: StrategyVector, params: GameParams) -> Decomp
     """
     if params.is_ncg:
         raise ValueError("decomposition requires a finite penalty")
-    if state.n != params.n:
-        raise ValueError(f"state has {state.n} players, params expect {params.n}")
+    check_players(state, params)
     n, a, b = params.n, params.alpha, params.beta
     decomp = components(state)
     if decomp.connected:

@@ -307,6 +307,18 @@ def test_validation_exit_codes(capsys):
     assert code == 1 and "beta must exceed 1" in err
     code, _, err = run_cli(capsys, "classify", "--n", "4", "--alpha", "x", "--beta", "2")
     assert code == 1 and "rational" in err
+    code, _, err = run_cli(capsys, "classify", "--n", "4", "--alpha", "1/0", "--beta", "2")
+    assert code == 1 and "rational" in err
+    code, _, err = run_cli(capsys, "sweep", "--n", "3", "--alpha", "1", "--beta", "2,1/0")
+    assert code == 1 and "rational" in err
+
+
+@pytest.mark.parametrize("command, workers", [("enumerate", "-2"), ("poa", "0")])
+def test_workers_below_one_rejected(capsys, command, workers):
+    code, out, err = run_cli(
+        capsys, command, "--n", "3", "--alpha", "1", "--beta", "2", "--workers", workers)
+    assert code == 1 and out == ""
+    assert f"workers must be >= 1, got {workers}" in err
 
 
 def test_guard_exit_code(capsys):
@@ -333,3 +345,7 @@ def test_malformed_state_reports_line(tmp_path, capsys):
     code, _, err = run_cli(capsys, "check-nash", "--state", str(bad))
     assert code == 1
     assert "line 5" in err
+    bad.write_bytes(b"pcg-state v1\nn 2\nalpha 1\nbeta 2\nbuys 0 : \xff\nbuys 1 :\n")
+    code, _, err = run_cli(capsys, "check-nash", "--state", str(bad))
+    assert code == 1
+    assert "line 5: not UTF-8: byte 0xff" in err

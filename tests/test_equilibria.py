@@ -19,10 +19,12 @@ import pytest
 
 from pcg.bitgraph import submasks_ascending
 from pcg.constructions import CanonicalKind, canonical_state
+from pcg.dynamics import DynamicsPolicy, MoveRule, TieRule, step
 from pcg.equilibria import (
     CoalitionDeviation,
     EquilibriumReport,
     GuardExceeded,
+    _match_edges,
     _submasks_upto,
     best_response,
     canonical_permutation_form,
@@ -151,25 +153,109 @@ def test_best_response_reports_all_minimizers_in_order():
     assert br.strategies == (frozenset({0}), frozenset({1}))
 
 
-def test_best_response_agrees_with_exhaustive_min():
+ORACLE_KINDS = ("empty", "center-star", "periphery-star", "complete")
+
+
+def oracle_cases():
+    """Seeded (state, params, costs) at n=3..6, a quarter of them with beta=inf.
+
+    ``costs[i]`` lists (strategy, Fraction cost) for every strategy of player
+    i in canonical order: by size, then by ascending target tuple.
+    """
     rng = random.Random(7)
-    for _ in range(60):
-        n = rng.randrange(3, 5)
-        p = GameParams(n, F(rng.randrange(1, 7), 2), 1 + F(rng.randrange(1, 9), 4))
-        state = random_state(n, rng)
-        player = rng.randrange(n)
-        others = sorted(set(range(n)) - {player})
-        costs = {}
-        for k in range(n):
-            for combo in itertools.combinations(others, k):
-                moved = state.replace(player, frozenset(combo))
-                costs[frozenset(combo)] = individual_cost(moved, player, p).total
-        br = best_response(state, player, p)
-        assert br.cost == min(costs.values())
-        assert set(br.strategies) == {s for s, c in costs.items() if c == br.cost}
+    for n in range(3, 7):
+        choices = strategy_choices(n)
+        for k in range(36):
+            beta = INFINITE if k % 4 == 0 else 1 + F(rng.randrange(1, 9), 4)
+            p = GameParams(n, F(rng.randrange(1, 13), 4), beta)
+            if k % 3 == 0:
+                state = canonical_state(CanonicalKind.parse(rng.choice(ORACLE_KINDS)), n)
+            else:
+                state = random_state(n, rng)
+            costs = [
+                [(s, individual_cost(state.replace(i, s), i, p).total) for s in choices[i]]
+                for i in range(n)
+            ]
+            yield state, p, costs
+
+
+def oracle_move(state, options, player, policy):
+    """The move rule read off the oracle's cost list, or None to stay."""
+    cur = dict(options)[state[player]]
+    if policy.move_rule is MoveRule.FIRST_IMPROVING:
+        return next((s for s, c in options if c < cur), None)
+    best = min(c for _, c in options)
+    first = next(s for s, c in options if c == best)
+    if best < cur or (policy.tie_rule is TieRule.CANONICAL_FIRST and first != state[player]):
+        return first
+    return None
+
+
+def test_best_response_agrees_with_exhaustive_min():
+    for state, p, costs in oracle_cases():
+        for player, options in enumerate(costs):
+            br = best_response(state, player, p)
+            assert br.cost == min(c for _, c in options)
+            assert br.strategies == tuple(s for s, c in options if c == br.cost)
+
+
+def test_is_nash_and_step_agree_with_oracle():
+    policies = [
+        DynamicsPolicy(move_rule=rule, tie_rule=tie) for rule in MoveRule for tie in TieRule
+    ]
+    verdicts = set()
+    for state, p, costs in oracle_cases():
+        strict, witness = True, None
+        for player, options in enumerate(costs):
+            cur = dict(options)[state[player]]
+            for s, c in options:
+                if s != state[player] and c <= cur:
+                    strict = False
+                    if c < cur:
+                        witness = (player, s, cur, c)
+                        break
+            if witness:
+                break
+        rep = is_nash(state, p)
+        verdicts.add(rep.verdict)
+        assert rep.verdict == (witness is None)
+        if witness:
+            d = rep.witness
+            assert (d.player, d.new_strategy, d.old_cost, d.new_cost) == witness
+        else:
+            assert rep.strict == strict
+        for policy in policies:
+            expected = (state, None)
+            for player, options in enumerate(costs):
+                new = oracle_move(state, options, player, policy)
+                if new is not None:
+                    expected = (state.replace(player, new), player)
+                    break
+            assert step(state, policy, p) == expected
+    assert verdicts == {True, False}
 
 
 # -- coalition checks -----------------------------------------------------------------
+
+
+def smallest_feasible_owners(candidates, caps):
+    """The lexicographically smallest owner tuple within capacity, by brute force."""
+    for owners in itertools.product(*(sorted(c) for c in candidates)):
+        if all(owners.count(v) <= cap for v, cap in caps.items()):
+            return list(owners)
+    return None
+
+
+def test_match_edges_is_smallest_feasible_owner_tuple():
+    rng = random.Random(11)
+    for _ in range(1500):
+        n = rng.randrange(2, 8)
+        members = sorted(rng.sample(range(n), rng.randrange(1, min(n, 6) + 1)))
+        pairs = [e for e in itertools.combinations(range(n), 2) if set(e) & set(members)]
+        edges = rng.sample(pairs, min(len(pairs), rng.randrange(0, 11)))
+        candidates = [tuple(v for v in e if v in members) for e in edges]
+        caps = {v: rng.randrange(0, 5) for v in members}
+        assert _match_edges(candidates, caps) == smallest_feasible_owners(candidates, caps)
 
 
 def test_periphery_star_strong_then_not():

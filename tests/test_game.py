@@ -20,6 +20,8 @@ from pcg.game import (
     GameParams,
     StrategyVector,
     all_pairs_distances,
+    as_penalty,
+    as_rational,
     components,
     cost_delta,
     individual_cost,
@@ -132,6 +134,17 @@ def test_floats_rejected():
         GameParams(3, 0.5, F(2))
     with pytest.raises(ValueError):
         GameParams(3, F(1), 2.5)
+
+
+def test_zero_denominator_is_a_value_error():
+    for text in ("1/0", "x"):
+        with pytest.raises(ValueError, match=f"expected a rational p/q, got '{text}'"):
+            as_rational(text)
+        with pytest.raises(ValueError, match=f"expected a rational p/q, got '{text}'"):
+            as_penalty(text)
+    with pytest.raises(ValueError, match="rational"):
+        GameParams(3, "1/0", 2)
+    assert as_penalty(" INF ") == INFINITE
 
 
 def test_self_purchase_rejected():

@@ -61,6 +61,7 @@ def test_parse_accepts_file_object():
     text = "pcg-state v1\nn 2\nalpha 1\nbeta 2\nbuys 0 : 1\nbuys 1 :\n"
     state, _ = parse_state(io.StringIO(text))
     assert state.strategies[0] == {1}
+    assert parse_state(io.BytesIO(text.encode())) == parse_state(text)
 
 
 def test_targets_sorted_on_output():
@@ -110,6 +111,18 @@ def test_alpha_zero_rejected():
 def test_alpha_inf_rejected():
     e = err("pcg-state v1\nn 2\nalpha inf\nbeta 2\nbuys 0 :\nbuys 1 :\n")
     assert e.line == 3
+
+
+def test_zero_denominator_rejected():
+    e = err("pcg-state v1\nn 2\nalpha 1/0\nbeta 2\nbuys 0 :\nbuys 1 :\n")
+    assert e.line == 3 and "expected a rational p/q, got '1/0'" in str(e)
+    assert err("pcg-state v1\nn 2\nalpha 1\nbeta 3/0\nbuys 0 :\nbuys 1 :\n").line == 4
+
+
+def test_undecodable_byte_reports_its_line():
+    e = err(b"pcg-state v1\nn 2\nalpha 1\nbeta 2\nbuys 0 : \xff\nbuys 1 :\n")
+    assert e.line == 5 and "not UTF-8: byte 0xff" in str(e)
+    assert err(b"pcg-state v1\r\nn 2\r\n\xfe").line == 3  # at the start of a line
 
 
 def test_garbage_target_rejected():
