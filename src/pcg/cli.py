@@ -47,7 +47,7 @@ from .game import (
     is_infinite,
     social_cost,
 )
-from .stateio import StateParseError, format_value, parse_state, serialize_state
+from .stateio import StateParseError, format_value, parse_state, serialize_state, state_writer
 from .sweep import SweepSpec, run_sweep
 
 
@@ -233,7 +233,8 @@ def _cmd_enumerate(args) -> int:
     if result.iso_class_count is not None:
         lines.append(f"iso-classes {result.iso_class_count}")
     shown = result.iso_representatives if args.dedupe_iso else result.equilibria
-    blocks = [serialize_state(s, params) for s in shown]
+    write = state_writer(params)
+    blocks = [write(s) for s in shown]
     text = "\n".join(lines) + "\n"
     if blocks:
         text += "\n" + "\n".join(blocks)

@@ -22,7 +22,7 @@ from typing import List, Optional, Tuple, Union
 
 from .equilibria import _DirectScan, _mask_to_set
 from .game import GameParams, StrategyVector, cost_delta, random_state
-from .stateio import serialize_state
+from .stateio import serialize_state, state_writer
 
 
 class MoveRule(Enum):
@@ -261,6 +261,5 @@ def serialize_outcome(outcome: DynamicsOutcome, params: GameParams) -> str:
         return head + serialize_state(outcome.last_state, params)
     if isinstance(outcome, CycleDetected):
         head = f"cycle entry {outcome.entry_index} period {outcome.period}\n"
-        blocks = [serialize_state(s, params) for s in outcome.states]
-        return head + "\n".join(blocks)
+        return head + "\n".join(map(state_writer(params), outcome.states))
     raise TypeError(f"not a dynamics outcome: {outcome!r}")

@@ -320,6 +320,14 @@ def _submasks_upto(mask: int, k) -> Iterable[int]:
             return
 
 
+def check_max_coalition(n: int, max_coalition: Optional[int]) -> int:
+    """The largest coalition searched at n players; refuses a cap outside 1..n."""
+    size_cap = n if max_coalition is None else max_coalition
+    if not 1 <= size_cap <= n:
+        raise ValueError(f"max_coalition must be in 1..{n}, got {max_coalition}")
+    return size_cap
+
+
 def is_strong(
     state: StrategyVector,
     params: GameParams,
@@ -336,9 +344,7 @@ def is_strong(
     """
     n = params.n
     check_players(state, params)
-    size_cap = n if max_coalition is None else max_coalition
-    if not 1 <= size_cap <= n:
-        raise ValueError(f"max_coalition must be in 1..{n}, got {max_coalition}")
+    size_cap = check_max_coalition(n, max_coalition)
     work = _coalition_work(n, size_cap)
     if work > work_limit:
         raise GuardExceeded(
@@ -545,12 +551,14 @@ class _Engine:
     def scan_graphs(self, lo: int, hi: int) -> list:
         """Nash states whose edge mask lies in [lo, hi), unsorted.
 
-        Each hit is (index, owned target masks, social cost, disconnected);
-        the last two are computed once per graph and shared by its hits.
+        Each hit is (index, owned target masks, scaled social cost,
+        disconnected); the last two are computed once per graph and shared by
+        its hits.  The cost is scaled as in :class:`ScaledParams`
+        (``cost * scale``), so callers compare integers and convert only the
+        values they report.
         """
         n = self.n
-        sp = self.sp
-        alpha = sp.alpha
+        alpha = self.sp.alpha
         R = self.R
         missing = self.missing
         non_inc = self.non_incident
@@ -593,7 +601,7 @@ class _Engine:
                 found = []
                 assign(0, 0)
                 if found:
-                    cost = sp.to_cost(alpha * g.bit_count() + sum(R[gn:gn + n]))
+                    cost = alpha * g.bit_count() + sum(R[gn:gn + n])
                     disconnected = any(missing[gn:gn + n])
                     hits.extend((index, masks, cost, disconnected) for index, masks in found)
         return hits
@@ -715,6 +723,7 @@ def enumerate_equilibria(
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     n = params.n
+    check_max_coalition(n, max_coalition)
     limit = ENUMERATION_OVERRIDE_MAX_N if override_guard else ENUMERATION_MAX_N
     if n > limit:
         hint = "" if override_guard else " (pass override_guard=True for n=6)"
@@ -735,12 +744,15 @@ def enumerate_equilibria(
 
     target_sets = {m: _mask_to_set(m) for m in {m for hit in hits for m in hit[1]}}
     states = tuple(StrategyVector(tuple(target_sets[m] for m in masks)) for _, masks, _, _ in hits)
-    costs = tuple(cost for _, _, cost, _ in hits)
+    scaled = [hit[2] for hit in hits]
+    # hits share their graph's cost, so there are few distinct values: convert each once
+    to_cost = {c: engine.sp.to_cost(c) for c in set(scaled)}
+    costs = tuple(map(to_cost.__getitem__, scaled))
     disconnected = sum(1 for hit in hits if hit[3])
 
     optimum = social_optimum_bruteforce(params)
-    worst = max(costs) if costs else None
-    best = min(costs) if costs else None
+    worst = to_cost[max(to_cost)] if to_cost else None
+    best = to_cost[min(to_cost)] if to_cost else None
     poa = _ratio(worst, optimum.cost)
     pos = _ratio(best, optimum.cost)
 
@@ -752,7 +764,7 @@ def enumerate_equilibria(
     if mode == "strong":
         verdicts: dict = {}
         picked = []
-        for state, cost, form in zip(states, costs, forms):
+        for state, cost, form in zip(states, scaled, forms):
             verdict = verdicts.get(form)
             if verdict is None:
                 verdict = is_strong(state, params, max_coalition).verdict
@@ -760,9 +772,9 @@ def enumerate_equilibria(
             if verdict:
                 picked.append((state, cost))
         strong_states = tuple(s for s, _ in picked)
-        strong_costs = tuple(c for _, c in picked)
-        if strong_costs:
-            worst_strong = max(strong_costs)
+        strong_costs = tuple(to_cost[c] for _, c in picked)
+        if picked:
+            worst_strong = to_cost[max(c for _, c in picked)]
             strong_poa = _ratio(worst_strong, optimum.cost)
 
     iso_count = iso_reps = None

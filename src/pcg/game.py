@@ -95,7 +95,10 @@ class StrategyVector:
             raise ValueError("empty strategy vector")
         for i, targets in enumerate(strategies):
             for j in targets:
-                if not isinstance(j, int) or not 0 <= j < n:
+                # bool is an int subclass, and True == 1 would hide in a target set
+                if type(j) is not int and (isinstance(j, bool) or not isinstance(j, int)):
+                    raise ValueError(f"player {i}: target {j!r} is not an integer")
+                if not 0 <= j < n:
                     raise ValueError(f"player {i}: target {j!r} out of range 0..{n - 1}")
                 if j == i:
                     raise ValueError(f"player {i} cannot buy a link to itself")

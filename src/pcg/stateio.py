@@ -13,13 +13,16 @@ Format (version 1), one state per file:
 Exactly one ``buys`` line per player, ascending.  Rationals are written in
 lowest terms with positive denominator (integers print bare); the infinite
 penalty prints as ``inf``.  ``parse_state(serialize_state(s, p))`` returns
-``(s, p)`` exactly.
+``(s, p)`` exactly.  A report of many states of one game uses one
+:func:`state_writer`, which formats the header and each distinct ``buys``
+line once.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import BinaryIO, TextIO, Tuple, Union
+from operator import getitem
+from typing import BinaryIO, Callable, TextIO, Tuple, Union
 
 from .game import Cost, GameParams, StrategyVector, as_penalty, as_rational, check_players, is_infinite
 
@@ -41,18 +44,41 @@ def format_value(value: Cost) -> str:
     return str(Fraction(value))
 
 
+class _BuysLines(dict):
+    """One player's ``buys`` lines by target set, each formatted on first use."""
+
+    def __init__(self, player: int):
+        super().__init__()
+        self.player = player
+
+    def __missing__(self, targets: frozenset) -> str:
+        # int(): a target equal to 1 must print as 1 whatever its type
+        body = "".join(f" {int(t)}" for t in sorted(targets))
+        line = self[targets] = f"buys {self.player} :{body}\n"
+        return line
+
+
+def state_writer(params: GameParams) -> Callable[[StrategyVector], str]:
+    """A serializer for many states of one game.
+
+    The header is formatted once, and each ``buys`` line once per (player,
+    target set), so a report of thousands of states on a few hundred graphs
+    formats each distinct line once.  Every state is still checked against
+    the game's player count.
+    """
+    header = f"{HEADER}\nn {params.n}\nalpha {format_value(params.alpha)}\nbeta {format_value(params.beta)}\n"
+    lines = [_BuysLines(i) for i in range(params.n)]
+
+    def write(state: StrategyVector) -> str:
+        check_players(state, params)
+        return header + "".join(map(getitem, lines, state.strategies))
+
+    return write
+
+
 def serialize_state(state: StrategyVector, params: GameParams) -> str:
-    check_players(state, params)
-    lines = [
-        HEADER,
-        f"n {params.n}",
-        f"alpha {format_value(params.alpha)}",
-        f"beta {format_value(params.beta)}",
-    ]
-    for i, targets in enumerate(state.strategies):
-        body = " ".join(str(t) for t in sorted(targets))
-        lines.append(f"buys {i} :" + (f" {body}" if body else ""))
-    return "\n".join(lines) + "\n"
+    """The file text of one state; see :func:`state_writer` for many."""
+    return state_writer(params)(state)
 
 
 def parse_state(text: Union[str, bytes, TextIO, BinaryIO]) -> Tuple[StrategyVector, GameParams]:

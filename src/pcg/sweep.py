@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Iterator, Optional, TextIO, Tuple
 
 from . import theory
-from .equilibria import GuardExceeded, enumerate_equilibria
+from .equilibria import GuardExceeded, check_max_coalition, enumerate_equilibria
 from .game import GameParams, as_penalty, as_rational
 from .stateio import format_value
 
@@ -63,6 +63,7 @@ class SweepSpec:
             for a in self.alphas:
                 for b in self.betas:
                     GameParams(n, a, b)  # every grid point must be valid
+            check_max_coalition(n, self.max_coalition)
 
     def points(self) -> Iterator[GameParams]:
         for n in self.ns:

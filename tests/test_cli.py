@@ -291,6 +291,14 @@ def test_sweep_spec_validation():
         SweepSpec(ns=[3], alphas=[F(1)], betas=[F(2)], mode="mixed")
 
 
+def test_sweep_spec_max_coalition_checked_at_every_n():
+    with pytest.raises(ValueError, match="max_coalition must be in 1..3, got 0"):
+        SweepSpec(ns=[3], alphas=[F(1)], betas=[F(2)], max_coalition=0)
+    with pytest.raises(ValueError, match="max_coalition must be in 1..3, got 4"):
+        SweepSpec(ns=[4, 3], alphas=[F(1)], betas=[F(2)], max_coalition=4)
+    assert SweepSpec(ns=[3, 4], alphas=[F(1)], betas=[F(2)], max_coalition=3).max_coalition == 3
+
+
 def test_run_sweep_returns_row_count():
     spec = SweepSpec(ns=[3], alphas=[F(1), F(2)], betas=[F(2)])
     buf = io.StringIO()
@@ -319,6 +327,22 @@ def test_workers_below_one_rejected(capsys, command, workers):
         capsys, command, "--n", "3", "--alpha", "1", "--beta", "2", "--workers", workers)
     assert code == 1 and out == ""
     assert f"workers must be >= 1, got {workers}" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("poa", "--max-coalition", "-1"),
+        ("enumerate", "--max-coalition", "0"),
+        ("sweep", "--max-coalition", "0"),
+        ("poa", "--max-coalition", "0", "--mode", "strong"),
+    ],
+)
+def test_max_coalition_out_of_range_exits_1(capsys, argv):
+    command, *flags = argv
+    code, out, err = run_cli(capsys, command, "--n", "3", "--alpha", "1", "--beta", "2", *flags)
+    assert code == 1 and out == ""
+    assert f"max_coalition must be in 1..3, got {flags[1]}" in err
 
 
 def test_guard_exit_code(capsys):

@@ -24,6 +24,7 @@ from pcg.equilibria import (
     CoalitionDeviation,
     EquilibriumReport,
     GuardExceeded,
+    _Engine,
     _match_edges,
     _submasks_upto,
     best_response,
@@ -503,6 +504,54 @@ def test_enumeration_strong_with_dedupe_equals_separate_runs():
             assert value == getattr(strong_only, field.name), field.name
         if field.name not in strong_fields:
             assert value == getattr(dedupe_only, field.name), field.name
+
+
+README_SWEEP_ALPHAS = (F(1, 2), F(1), F(3, 2), F(2), F(3))
+README_SWEEP_BETAS = (F(3, 2), F(2), F(5, 2), F(3), INFINITE)
+
+
+def assert_extrema_match_costs(r):
+    assert r.worst_cost == max(r.costs) and r.best_cost == min(r.costs)
+    assert r.poa == r.worst_cost / r.optimum_cost
+    assert r.pos == r.best_cost / r.optimum_cost
+    if r.mode == "strong" and r.strong_costs:
+        assert r.worst_strong_cost == max(r.strong_costs)
+        assert r.strong_poa == r.worst_strong_cost / r.optimum_cost
+    elif r.mode == "strong":
+        assert r.worst_strong_cost is None and r.strong_poa is None
+
+
+@pytest.mark.parametrize("mode", ["nash", "strong"])
+def test_cost_extrema_are_those_of_the_cost_list(mode):
+    # the extrema are taken over scaled per-graph costs, not over this list
+    for n in (3, 4):
+        for alpha in README_SWEEP_ALPHAS:
+            for beta in README_SWEEP_BETAS:
+                assert_extrema_match_costs(enumerate_equilibria(GameParams(n, alpha, beta), mode))
+    for params in (GameParams(4, F(3, 2), F(5, 2)), GameParams(4, F(1, 2), INFINITE)):
+        r = enumerate_equilibria(params, mode, workers=2)
+        assert_extrema_match_costs(r)
+        assert r == enumerate_equilibria(params, mode)
+
+
+def test_cost_extrema_at_the_paper_points():
+    r = enumerate_equilibria(GameParams(5, F(3), F(5, 2)))
+    assert_extrema_match_costs(r)
+    assert r.poa == F(25, 22)
+    r = enumerate_equilibria(GameParams(5, F(1), F(3)))
+    assert_extrema_match_costs(r)
+    assert len(r.equilibria) == 43728
+
+
+def test_max_coalition_refused_before_the_scan(monkeypatch):
+    def no_scan(*args):
+        raise AssertionError("scanned before validating max_coalition")
+
+    monkeypatch.setattr(_Engine, "scan_graphs", no_scan)
+    for mode in ("nash", "strong"):
+        for cap in (0, -1, 4):
+            with pytest.raises(ValueError, match=f"max_coalition must be in 1..3, got {cap}"):
+                enumerate_equilibria(GameParams(3, F(1), F(2)), mode, max_coalition=cap)
 
 
 def test_enumeration_guards():

@@ -152,6 +152,16 @@ def test_self_purchase_rejected():
         sv({0}, set(), set())
 
 
+def test_bool_target_rejected():
+    # True == 1 and hashes alike, so a bool passes a range check unless refused by type
+    with pytest.raises(ValueError, match="target True is not an integer"):
+        StrategyVector((frozenset({True}), frozenset()))
+    with pytest.raises(ValueError, match="target False is not an integer"):
+        sv(set(), {False}, set())
+    with pytest.raises(ValueError, match="not an integer"):
+        sv({"1"}, set())
+
+
 def test_target_out_of_range_rejected():
     p = GameParams(3, F(1), F(2))
     with pytest.raises(ValueError):

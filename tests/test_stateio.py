@@ -7,7 +7,8 @@ from fractions import Fraction as F
 import pytest
 
 from pcg.game import INFINITE, GameParams, StrategyVector, random_state
-from pcg.stateio import StateParseError, format_value, parse_state, serialize_state
+from pcg.dynamics import CycleDetected, serialize_outcome
+from pcg.stateio import StateParseError, format_value, parse_state, serialize_state, state_writer
 
 
 def test_minimal_empty_file():
@@ -55,6 +56,66 @@ def test_round_trip_random_states():
         assert state2 == state
         assert params2 == params
         assert serialize_state(state2, params2) == text
+
+
+def reference_serialize(state, params):
+    """The one-state formatter that state_writer replaced, kept as an oracle."""
+    def value(v):
+        return "inf" if v == INFINITE else str(F(v))
+
+    lines = ["pcg-state v1", f"n {params.n}", f"alpha {value(params.alpha)}", f"beta {value(params.beta)}"]
+    for i, targets in enumerate(state.strategies):
+        body = " ".join(str(t) for t in sorted(targets))
+        lines.append(f"buys {i} :" + (f" {body}" if body else ""))
+    return "\n".join(lines) + "\n"
+
+
+def random_game(rng):
+    n = rng.randint(2, 8)
+    alpha = F(rng.randint(1, 40), rng.randint(1, 12))
+    beta = INFINITE if rng.random() < 0.2 else 1 + F(rng.randint(1, 30), rng.randint(1, 9))
+    return GameParams(n, alpha, beta)
+
+
+def test_reused_writer_matches_one_state_serialization():
+    rng = random.Random(20261018)
+    games = [random_game(rng) for _ in range(12)]
+    writers = {params: state_writer(params) for params in games}
+    for _ in range(300):
+        params = rng.choice(games)
+        state = random_state(params.n, rng)
+        text = writers[params](state)  # each writer serves about 25 states here
+        assert text == serialize_state(state, params) == reference_serialize(state, params)
+        assert parse_state(text) == (state, params)
+    with pytest.raises(ValueError, match="params expect"):
+        state_writer(GameParams(3, F(1), F(2)))(StrategyVector.empty(4))
+
+
+def test_writer_prints_targets_as_ints():
+    # an int subclass equal to 1 shares the memo entry of 1, so both must print "1"
+    class Player(int):
+        def __str__(self):
+            return f"Player({int(self)})"
+
+    params = GameParams(2, F(1), F(2))
+    write = state_writer(params)
+    subclass_state = StrategyVector((frozenset({Player(1)}), frozenset()))
+    expected = "pcg-state v1\nn 2\nalpha 1\nbeta 2\nbuys 0 : 1\nbuys 1 :\n"
+    assert write(subclass_state) == expected
+    assert write(StrategyVector((frozenset({1}), frozenset()))) == expected
+    assert parse_state(expected)[0] == subclass_state
+    with pytest.raises(ValueError, match="not an integer"):
+        StrategyVector((frozenset({True}), frozenset()))  # would have printed "buys 0 : True"
+
+
+def test_cycle_outcome_is_header_plus_state_blocks():
+    rng = random.Random(7)
+    params = GameParams(5, F(3, 2), INFINITE)
+    states = [random_state(5, rng) for _ in range(3)]
+    states.append(states[0].replace(1, states[2][1]))  # repeats target sets across states
+    text = serialize_outcome(CycleDetected(entry_index=2, period=4, states=tuple(states)), params)
+    blocks = [serialize_state(s, params) for s in states]
+    assert text == "cycle entry 2 period 4\n" + "\n".join(blocks)
 
 
 def test_parse_accepts_file_object():
