@@ -10,6 +10,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from pcg import equilibria
 from pcg.cli import main
 from pcg.stateio import parse_state
 from pcg.sweep import CSV_COLUMNS, SweepSpec, run_sweep, sweep_records
@@ -350,6 +351,14 @@ def test_guard_exit_code(capsys):
     assert code == 2 and "guard" in err.lower()
     code, _, _ = run_cli(capsys, "optimum", "--n", "9", "--alpha", "1", "--beta", "2")
     assert code == 2
+
+
+def test_canonical_form_budget_exit_code(capsys, monkeypatch):
+    monkeypatch.setattr(equilibria, "CANONICAL_FORM_BUDGET", 528 * 24 - 1)
+    for flag in (["--dedupe-iso"], ["--mode", "strong"]):
+        code, out, err = run_cli(capsys, "enumerate", "--n", "4", "--alpha", "1", "--beta", "3", *flag)
+        assert code == 2 and out == ""
+        assert "guard: canonical forms of 528 Nash states" in err and "budget of 12671" in err
 
 
 def test_unknown_subcommand_and_missing_args(capsys):

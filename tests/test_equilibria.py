@@ -12,11 +12,13 @@ Core claims:
 
 import dataclasses
 import itertools
+import math
 import random
 from fractions import Fraction as F
 
 import pytest
 
+from pcg import equilibria
 from pcg.bitgraph import submasks_ascending
 from pcg.constructions import CanonicalKind, canonical_state
 from pcg.dynamics import DynamicsPolicy, MoveRule, TieRule, step
@@ -24,6 +26,8 @@ from pcg.equilibria import (
     CoalitionDeviation,
     EquilibriumReport,
     GuardExceeded,
+    PriceMetrics,
+    _DirectScan,
     _Engine,
     _match_edges,
     _submasks_upto,
@@ -447,6 +451,32 @@ def test_enumeration_matches_per_state_checks_n4(alpha, beta):
     assert result.states_examined == 4096
 
 
+@pytest.mark.parametrize("n", range(2, 10))
+def test_alternatives_in_canonical_order(n):
+    # every strategy once, by size and then by sorted target tuple
+    params = GameParams(n, F(1), F(3))
+    scan = _DirectScan(StrategyVector.empty(n), params)
+    for player in range(n):
+        masks = [mask for mask, _ in scan.alternatives(player)]
+        expected = sorted(
+            (t for t in range(1 << n) if not t >> player & 1),
+            key=lambda t: (t.bit_count(), [b for b in range(n) if t >> b & 1]),
+        )
+        assert masks == expected
+
+
+def test_equilibria_ascend_by_target_masks():
+    r = enumerate_equilibria(GameParams(5, F(1), F(3)))
+    keys = [s.masks() for s in r.equilibria]
+    assert len(keys) == 43728
+    assert all(a < b for a, b in zip(keys, keys[1:]))
+
+
+@pytest.mark.parametrize("n", range(2, 6))
+def test_states_examined_is_the_strategy_space(n):
+    assert enumerate_equilibria(GameParams(n, F(2), F(3))).states_examined == 2 ** (n * (n - 1))
+
+
 def test_enumeration_n6_override():
     # 2^30 strategy vectors, but only 2^15 graphs to visit
     p = GameParams(6, F(3), F(5, 2))
@@ -561,6 +591,25 @@ def test_enumeration_guards():
         enumerate_equilibria(GameParams(7, F(1), F(2)), override_guard=True)
 
 
+def test_canonical_form_budget_refuses_before_any_form(monkeypatch):
+    # (4, 1, 3) has 528 Nash states, so its canonical forms try 528 * 4! relabellings
+    def no_form(state):
+        raise AssertionError("canonical form computed past the budget")
+
+    p = GameParams(4, F(1), F(3))
+    monkeypatch.setattr(equilibria, "CANONICAL_FORM_BUDGET", 528 * 24 - 1)
+    monkeypatch.setattr(equilibria, "canonical_permutation_form", no_form)
+    for kwargs in ({"mode": "strong"}, {"dedupe_iso": True}):
+        with pytest.raises(GuardExceeded, match=r"528 Nash states .* 12672 relabellings, over the budget of 12671"):
+            enumerate_equilibria(p, **kwargs)
+    assert len(enumerate_equilibria(p).equilibria) == 528  # nash mode computes no form
+
+
+def test_canonical_form_budget_value():
+    # a Nash state buys no edge twice, so n = 5 has at most 3^C(5,2) of them
+    assert equilibria.CANONICAL_FORM_BUDGET == 3 ** math.comb(5, 2) * math.factorial(5) == 7_085_880
+
+
 def test_dedupe_iso_partitions_equilibria():
     p = GameParams(4, F(1), F(3))
     r = enumerate_equilibria(p, dedupe_iso=True)
@@ -644,6 +693,38 @@ def test_price_metrics_no_strong_equilibria():
     assert not m.found
     assert m.equilibrium_count == 0
     assert m.poa is None and m.pos is None
+
+
+def reference_price_metrics(params, mode):
+    """price_metrics as computed from the cost list alone."""
+    result = enumerate_equilibria(params, mode)
+    if mode == "strong":
+        states, costs = result.strong_equilibria, result.strong_costs
+    else:
+        states, costs = result.equilibria, result.costs
+    if not states:
+        return PriceMetrics(False, 0, result.optimum_cost, None, None, None, None)
+    worst, best = max(costs), min(costs)
+    opt = result.optimum_cost
+
+    def ratio(c):
+        return None if c == INFINITE or opt == INFINITE else F(c) / F(opt)
+
+    return PriceMetrics(
+        True, len(states), opt, ratio(worst), ratio(best), states[costs.index(worst)], states[costs.index(best)]
+    )
+
+
+@pytest.mark.parametrize("mode", ["nash", "strong"])
+def test_price_metrics_match_the_cost_list(mode):
+    points = [GameParams(n, a, b) for n in (3, 4) for a in README_SWEEP_ALPHAS for b in README_SWEEP_BETAS]
+    points.append(GameParams(5, F(3), F(5, 2)))
+    assert len(points) == 51
+    for params in points:
+        expected = reference_price_metrics(params, mode)
+        actual = price_metrics(params, mode)
+        for field in dataclasses.fields(PriceMetrics):
+            assert getattr(actual, field.name) == getattr(expected, field.name), (params, field.name)
 
 
 def test_poa_none_when_worst_ne_disconnected_in_ncg():
