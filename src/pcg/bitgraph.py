@@ -5,7 +5,7 @@ n-bit masks, edge sets are C(n,2)-bit masks with pair (i, j), i < j, at
 bit ``pair_bit(n, i, j)`` (lexicographic over (i, j)).  Costs inside the
 search loops are scaled integers: with alpha = a/q1 and beta = b/q2, every
 cost times L = lcm(q1, q2) is an integer, so comparisons stay exact while
-avoiding Fraction overhead.  ``math.inf`` stands in for the infinite
+avoiding Fraction overhead.  ``game.INFINITE`` stands in for the infinite
 penalty; it orders and adds correctly against ints.
 
 The per-n structure tables (distance sums and unreachable counts for every
@@ -20,8 +20,6 @@ from fractions import Fraction
 from typing import Sequence
 
 from .game import Cost, GameParams, INFINITE
-
-INF = math.inf
 
 _TABLE_MAX_N = 6  # 2^C(n,2) grows too fast beyond this to tabulate
 
@@ -160,7 +158,7 @@ class ScaledParams:
         alpha = params.alpha
         if params.is_ncg:
             self.scale = alpha.denominator
-            self.beta = INF
+            self.beta = INFINITE
         else:
             self.scale = alpha.denominator * params.beta.denominator // math.gcd(
                 alpha.denominator, params.beta.denominator
@@ -169,11 +167,11 @@ class ScaledParams:
         self.alpha = int(alpha * self.scale)
 
     def penalty(self, missing: int):
-        # int, or INF in NCG mode; never INF * 0
+        # int, or INFINITE in NCG mode; never INFINITE * 0
         return self.beta * missing if missing else 0
 
     def to_cost(self, scaled) -> Cost:
-        if scaled == INF:
+        if scaled == INFINITE:
             return INFINITE
         return Fraction(scaled, self.scale)
 

@@ -12,9 +12,8 @@ blocking deviation can be pruned (without changing its graph) so that every
 added edge is bought exactly once by a member endpoint and nothing else is
 bought, which only lowers member costs.  Per graph it then suffices to check
 whether the added edges can be distributed among members within each member's
-strict-improvement purchase budget.  By Hakimi's orientation condition such
-owners exist iff no member set S has more added edges with all candidate
-owners in S than the members of S can buy together.
+strict-improvement purchase budget, which a depth-first search over the
+added edges' owners decides.
 
 Before any BFS, a degree floor rules out most coalitions and graphs.  A
 member of degree d pays at least d for its neighbours and min(2, beta) for
@@ -38,8 +37,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
+from . import theory
 from .bitgraph import (
-    INF,
     ScaledParams,
     adjacency_masks,
     bfs_row,
@@ -51,13 +50,14 @@ from .bitgraph import (
     structure_table,
     submasks_ascending,
 )
-from .game import Cost, GameParams, StrategyVector, check_players
+from .game import INFINITE, Cost, GameParams, StrategyVector, check_players
 
 BEST_RESPONSE_MAX_N = 16
 ENUMERATION_MAX_N = 5
 ENUMERATION_OVERRIDE_MAX_N = 6
-OPTIMUM_MAX_N = 8
-DEFAULT_COALITION_WORK_LIMIT = 5_000_000
+OPTIMUM_MAX_N = 7
+# Coalition deviation graphs, summed over coalition sizes, that is_strong may face.
+COALITION_WORK_LIMIT = 5_000_000
 # Relabellings tried by the canonical forms of strong mode and dedupe_iso.  A
 # Nash state buys no edge twice, so n = 5 has at most 3^C(5,2) of them.
 CANONICAL_FORM_BUDGET = 3 ** 10 * math.factorial(5)
@@ -262,38 +262,34 @@ def _coalition_work(n: int, max_size: int) -> int:
 def _match_edges(candidates: Sequence[tuple], caps: dict) -> Optional[list]:
     """Assign each edge one owner from its candidate pair within capacity.
 
-    Owners exist iff no member set S has more edges whose candidates all lie
-    in S than the members of S can buy (Hakimi's orientation condition).
-    Edges are assigned in order, each to its smallest owner that keeps the
-    rest feasible, which gives the lexicographically smallest owner tuple.
+    A depth-first search takes the edges in order and tries each edge's
+    candidates in ascending order, skipping an owner with no capacity left,
+    so the first complete assignment is the lexicographically smallest owner
+    tuple.  None when there is none, which includes any negative cap.
     """
-    members = sorted(caps)
-    free = [caps[v] for v in members]
-    position = {v: k for k, v in enumerate(members)}
-    inside = [sum(1 << position[v] for v in c) for c in candidates]
-    subsets = [(s, [k for k in range(len(members)) if s >> k & 1]) for s in range(1 << len(members))]
-
-    def feasible(start: int) -> bool:
-        rest = inside[start:]
-        return all(
-            sum(1 for m in rest if m | s == s) <= sum(free[k] for k in ks) for s, ks in subsets
-        )
-
-    if not feasible(0):
+    if min(caps.values(), default=0) < 0:
         return None
-    assignment = []
-    for e, cand in enumerate(candidates):
-        for v in sorted(cand):
-            free[position[v]] -= 1  # a negative count fails feasible() at S = {v}
-            if feasible(e + 1):
-                break
-            free[position[v]] += 1
-        assignment.append(v)
-    return assignment
+    free = dict(caps)
+    owners: list = []
+
+    def place(e: int) -> bool:
+        if e == len(candidates):
+            return True
+        for v in sorted(candidates[e]):
+            if free[v] > 0:
+                free[v] -= 1
+                owners.append(v)
+                if place(e + 1):
+                    return True
+                owners.pop()
+                free[v] += 1
+        return False
+
+    return owners if place(0) else None
 
 
 def _submasks_upto(mask: int, k) -> Iterable[int]:
-    """Submasks of ``mask`` with at most ``k`` bits (``k`` may be INF), ascending."""
+    """Submasks of ``mask`` with at most ``k`` bits (``k`` may be INFINITE), ascending."""
     sub = 0
     while True:
         yield sub
@@ -314,11 +310,7 @@ def check_max_coalition(n: int, max_coalition: Optional[int]) -> int:
 
 
 def is_strong(
-    state: StrategyVector,
-    params: GameParams,
-    max_coalition: Optional[int] = None,
-    *,
-    work_limit: int = DEFAULT_COALITION_WORK_LIMIT,
+    state: StrategyVector, params: GameParams, max_coalition: Optional[int] = None
 ) -> EquilibriumReport:
     """No coalition (up to ``max_coalition`` members) has a deviation that
     strictly improves every member.
@@ -331,9 +323,10 @@ def is_strong(
     check_players(state, params)
     size_cap = check_max_coalition(n, max_coalition)
     work = _coalition_work(n, size_cap)
-    if work > work_limit:
+    if work > COALITION_WORK_LIMIT:
         raise GuardExceeded(
-            f"coalition search space ~{work} exceeds limit {work_limit} (n={n}, max_coalition={size_cap})"
+            f"coalition search space ~{work} exceeds limit {COALITION_WORK_LIMIT} "
+            f"(n={n}, max_coalition={size_cap})"
         )
 
     sp = ScaledParams(params)
@@ -361,15 +354,20 @@ def is_strong(
         for i in range(n)
     ]
 
+    def can_buy(c, base):
+        """Most edges a member can buy on top of ``base`` and still pay below
+        ``c``; -1 when it cannot gain at all."""
+        if base >= c:
+            return -1
+        return INFINITE if c == INFINITE else (c - base + A - 1) // A - 1
+
     # Degree floor: a neighbour costs L and anyone else at least min(2L, beta),
     # so a member of degree d in the deviation graph pays at least floor[d]
     # before buying anything, and can buy at most budget[v][d] edges and still
-    # gain.  A negative budget means floor[d] >= cur[v]: v cannot gain at all.
+    # gain.
     far = min(2 * L, sp.beta)
     floor = [L * d + (n - 1 - d) * far for d in range(n)]
-    budget = [
-        [INF if c == INF else (c - f + A - 1) // A - 1 for f in floor] for c in cur
-    ]
+    budget = [[can_buy(c, f) for f in floor] for c in cur]
 
     def budget_sum(coalition, g: int):
         """Edges the members can buy in g while all gain; None if one cannot gain."""
@@ -402,20 +400,7 @@ def is_strong(
                 if room is None or added.bit_count() > room:
                     continue
                 r = rows(g)
-                caps = {}
-                dead = False
-                for member in coalition:
-                    ds, miss = r[member]
-                    zero_cost = L * ds + sp.penalty(miss)
-                    if not zero_cost < cur[member]:
-                        dead = True
-                        break
-                    if cur[member] == INF:
-                        caps[member] = added.bit_count()
-                    else:
-                        caps[member] = (cur[member] - zero_cost + A - 1) // A - 1
-                if dead:
-                    continue
+                caps = {m: can_buy(cur[m], L * r[m][0] + sp.penalty(r[m][1])) for m in coalition}
                 edges = edges_of_mask(added, n)
                 candidates = [tuple(v for v in e if v in inside) for e in edges]
                 assignment = _match_edges(candidates, caps)
@@ -622,7 +607,10 @@ def social_optimum_bruteforce(params: GameParams) -> OptimumResult:
     """
     n = params.n
     if n > OPTIMUM_MAX_N:
-        raise GuardExceeded(f"optimum brute force limited to n <= {OPTIMUM_MAX_N}, got {n}")
+        raise GuardExceeded(
+            f"optimum brute force limited to n <= {OPTIMUM_MAX_N}, got {n}: "
+            f"2^C({n},2) = 2^{pair_count(n)} graphs"
+        )
     sp = ScaledParams(params)
     best = None
     best_mask = None
@@ -664,7 +652,6 @@ class EnumerationResult:
     costs: tuple
     disconnected_count: int
     optimum_cost: Cost
-    optimum_edges: tuple
     worst_cost: Optional[Cost]
     best_cost: Optional[Cost]
     poa: Optional[Fraction]
@@ -697,7 +684,9 @@ def enumerate_equilibria(
     contiguous ranges and the hits merged in that order, so the result does
     not depend on the worker count.  Strong mode verifies one representative
     per player-permutation class (the game is fully symmetric, so the verdict
-    is class-invariant).
+    is class-invariant).  The optimum cost is the closed form of
+    :func:`theory.social_optimum_class`, the cheapest of the empty graph, the
+    star and the complete graph.
     """
     if mode not in ("nash", "strong"):
         raise ValueError(f"mode must be 'nash' or 'strong', got {mode!r}")
@@ -737,11 +726,11 @@ def enumerate_equilibria(
     costs = tuple(map(to_cost.__getitem__, scaled))
     disconnected = sum(1 for hit in hits if hit[3])
 
-    optimum = social_optimum_bruteforce(params)
+    optimum = theory.social_optimum_class(params).cost
     worst = to_cost[max(to_cost)] if to_cost else None
     best = to_cost[min(to_cost)] if to_cost else None
-    poa = _ratio(worst, optimum.cost)
-    pos = _ratio(best, optimum.cost)
+    poa = _ratio(worst, optimum)
+    pos = _ratio(best, optimum)
 
     forms = (
         [canonical_permutation_form(s) for s in states] if mode == "strong" or dedupe_iso else None
@@ -762,7 +751,7 @@ def enumerate_equilibria(
         strong_costs = tuple(to_cost[c] for _, c in picked)
         if picked:
             worst_strong = to_cost[max(c for _, c in picked)]
-            strong_poa = _ratio(worst_strong, optimum.cost)
+            strong_poa = _ratio(worst_strong, optimum)
 
     iso_count = iso_reps = None
     if dedupe_iso:
@@ -780,8 +769,7 @@ def enumerate_equilibria(
         equilibria=states,
         costs=costs,
         disconnected_count=disconnected,
-        optimum_cost=optimum.cost,
-        optimum_edges=optimum.edges,
+        optimum_cost=optimum,
         worst_cost=worst,
         best_cost=best,
         poa=poa,
@@ -798,7 +786,7 @@ def enumerate_equilibria(
 def _ratio(worst: Optional[Cost], opt: Cost) -> Optional[Fraction]:
     if worst is None:
         return None
-    if worst == INF or opt == INF:
+    if worst == INFINITE or opt == INFINITE:
         return None
     return Fraction(worst) / Fraction(opt)
 

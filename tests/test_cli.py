@@ -6,7 +6,9 @@ Exit codes are part of the contract: 0 success, 1 validation/usage error,
 
 import csv
 import io
+import shlex
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -353,6 +355,16 @@ def test_guard_exit_code(capsys):
     assert code == 2
 
 
+def test_optimum_n8_exit_code(capsys, monkeypatch):
+    def no_graph_scan(*args):
+        raise AssertionError("the optimum guard admitted the graph loop")
+
+    monkeypatch.setattr(equilibria, "adjacency_masks", no_graph_scan)
+    code, out, err = run_cli(capsys, "optimum", "--n", "8", "--alpha", "1", "--beta", "2")
+    assert code == 2 and out == ""
+    assert "2^C(8,2) = 2^28 graphs" in err
+
+
 def test_canonical_form_budget_exit_code(capsys, monkeypatch):
     monkeypatch.setattr(equilibria, "CANONICAL_FORM_BUDGET", 528 * 24 - 1)
     for flag in (["--dedupe-iso"], ["--mode", "strong"]):
@@ -382,3 +394,20 @@ def test_malformed_state_reports_line(tmp_path, capsys):
     code, _, err = run_cli(capsys, "check-nash", "--state", str(bad))
     assert code == 1
     assert "line 5: not UTF-8: byte 0xff" in err
+
+
+def readme_commands():
+    """The ``pcg`` lines of the README's "Command line" block, in order."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = text.split("## Command line", 1)[1].split("```", 2)[1]
+    return [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("pcg ")]
+
+
+def test_readme_commands_run(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    commands = readme_commands()
+    assert len(commands) == 12
+    for argv in commands:
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 0, (argv, err)
+    assert (tmp_path / "star.txt").exists() and (tmp_path / "sweep.csv").exists()

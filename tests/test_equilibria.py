@@ -259,7 +259,7 @@ def test_match_edges_is_smallest_feasible_owner_tuple():
         pairs = [e for e in itertools.combinations(range(n), 2) if set(e) & set(members)]
         edges = rng.sample(pairs, min(len(pairs), rng.randrange(0, 11)))
         candidates = [tuple(v for v in e if v in members) for e in edges]
-        caps = {v: rng.randrange(0, 5) for v in members}
+        caps = {v: INFINITE if rng.random() < 0.1 else rng.randrange(0, 5) for v in members}
         assert _match_edges(candidates, caps) == smallest_feasible_owners(candidates, caps)
 
 
@@ -277,10 +277,14 @@ def test_periphery_star_strong_then_not():
 
 def test_strong_witness_members_all_strictly_improve():
     rng = random.Random(77)
-    checked = 0
-    for _ in range(120):
+    checked = {False: 0, True: 0}
+    for k in range(270):
         n = rng.randrange(3, 5)
-        p = GameParams(n, F(rng.randrange(1, 9), 2), 1 + F(rng.randrange(1, 7), 3))
+        alpha = F(rng.randrange(1, 9), 2)
+        # beta = inf from draw 120 on: random states are then often disconnected,
+        # so members start at infinite cost, and staying cut off is no gain
+        ncg = k >= 120
+        p = GameParams(n, alpha, INFINITE if ncg else 1 + F(rng.randrange(1, 7), 3))
         state = random_state(n, rng)
         rep = is_strong(state, p)
         if rep.verdict or rep.witness is None:
@@ -293,8 +297,8 @@ def test_strong_witness_members_all_strictly_improve():
             assert individual_cost(state, player, p).total == d.old_costs[idx]
             assert individual_cost(moved, player, p).total == d.new_costs[idx]
             assert d.new_costs[idx] < d.old_costs[idx]
-        checked += 1
-    assert checked > 20
+        checked[ncg] += 1
+    assert checked[False] > 20 and checked[True] > 100
 
 
 def test_strong_implies_nash():
@@ -325,19 +329,21 @@ def test_grand_coalition_blocks_empty_state():
     assert len(rep.witness.players) > 1
 
 
-def test_strong_work_limit_refuses():
+def test_strong_work_limit_refuses(monkeypatch):
+    monkeypatch.setattr(equilibria, "COALITION_WORK_LIMIT", 10)
     state = sv({1}, set(), set(), set(), set())
     with pytest.raises(GuardExceeded):
-        is_strong(state, GameParams(5, F(1), F(2)), work_limit=10)
+        is_strong(state, GameParams(5, F(1), F(2)))
 
 
-def test_strong_rejects_mismatched_state_before_work_guard():
+def test_strong_rejects_mismatched_state_before_work_guard(monkeypatch):
     # a state of the wrong size is a usage error, even where the guard would refuse
     state = sv({1}, set(), set(), set(), set())
     with pytest.raises(ValueError, match="state has 5 players"):
         is_strong(state, GameParams(9, F(1), F(2)))
+    monkeypatch.setattr(equilibria, "COALITION_WORK_LIMIT", 1)
     with pytest.raises(ValueError, match="state has 5 players"):
-        is_strong(state, GameParams(4, F(1), F(2)), work_limit=1)
+        is_strong(state, GameParams(4, F(1), F(2)))
 
 
 def test_submasks_upto_is_the_ascending_scan_cut_by_size():
@@ -573,6 +579,21 @@ def test_cost_extrema_at_the_paper_points():
     assert len(r.equilibria) == 43728
 
 
+def test_enumeration_takes_the_optimum_from_the_closed_form(monkeypatch):
+    points = [(n, a, b) for n in (3, 4) for a in README_SWEEP_ALPHAS for b in README_SWEEP_BETAS]
+    points.append((5, F(3), F(5, 2)))
+    brute = [social_optimum_bruteforce(GameParams(*point)).cost for point in points]
+
+    def no_brute_force(params):
+        raise AssertionError("enumeration ran the brute-force optimum")
+
+    monkeypatch.setattr(equilibria, "social_optimum_bruteforce", no_brute_force)
+    for point, cost in zip(points, brute):
+        r = enumerate_equilibria(GameParams(*point))
+        assert r.optimum_cost == cost, point
+    assert r.poa == F(25, 22)
+
+
 def test_max_coalition_refused_before_the_scan(monkeypatch):
     def no_scan(*args):
         raise AssertionError("scanned before validating max_coalition")
@@ -674,6 +695,16 @@ def test_optimum_state_realizes_reported_cost():
 def test_optimum_guard():
     with pytest.raises(GuardExceeded):
         social_optimum_bruteforce(GameParams(9, F(1), F(2)))
+
+
+def test_optimum_refuses_n8_with_its_graph_count(monkeypatch):
+    # 2^28 graphs would take hours; the refusal comes before any graph is built
+    def no_graph_scan(*args):
+        raise AssertionError("the optimum guard admitted the graph loop")
+
+    monkeypatch.setattr(equilibria, "adjacency_masks", no_graph_scan)
+    with pytest.raises(GuardExceeded, match=r"n <= 7, got 8: 2\^C\(8,2\) = 2\^28 graphs"):
+        social_optimum_bruteforce(GameParams(8, F(1), F(2)))
 
 
 # -- price metrics --------------------------------------------------------------------
