@@ -20,8 +20,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import List, Optional, Tuple, Union
 
-from .equilibria import _DirectScan, _mask_to_set
-from .game import GameParams, StrategyVector, cost_delta, random_state
+from .equilibria import _DirectScan
+from .game import GameParams, StrategyVector, cost_delta, mask_to_set, random_state
 from .stateio import serialize_state, state_writer
 
 
@@ -111,11 +111,11 @@ def _select_move(
     if policy.move_rule is MoveRule.FIRST_IMPROVING:
         for mask, c in scan.alternatives(player):
             if c < cur:  # never the current strategy, which costs cur
-                return _mask_to_set(mask)
+                return mask_to_set(mask)
         return None
     best, mins = scan.minimizers(player)
     if best < cur or (policy.tie_rule is TieRule.CANONICAL_FIRST and mins[0] != scan.masks[player]):
-        return _mask_to_set(mins[0])
+        return mask_to_set(mins[0])
     return None
 
 

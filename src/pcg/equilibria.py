@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Sequence, Union
@@ -50,7 +49,7 @@ from .bitgraph import (
     structure_table,
     submasks_ascending,
 )
-from .game import INFINITE, Cost, GameParams, StrategyVector, check_players
+from .game import INFINITE, Cost, GameParams, StrategyVector, check_players, mask_to_set
 
 BEST_RESPONSE_MAX_N = 16
 ENUMERATION_MAX_N = 5
@@ -110,10 +109,6 @@ class EquilibriumReport:
 class BestResponse:
     cost: Cost
     strategies: tuple  # all minimizers, by size then lexicographic
-
-
-def _mask_to_set(mask: int) -> frozenset:
-    return frozenset(b for b in range(mask.bit_length()) if mask >> b & 1)
 
 
 # -- direct (single-state) evaluation -----------------------------------------
@@ -217,7 +212,7 @@ def best_response(state: StrategyVector, player: int, params: GameParams) -> Bes
     """Exact minimum cost for ``player`` against the others, with all minimizers."""
     scan = _DirectScan(state, params)
     best, mins = scan.minimizers(player)
-    return BestResponse(scan.sp.to_cost(best), tuple(_mask_to_set(m) for m in mins))
+    return BestResponse(scan.sp.to_cost(best), tuple(mask_to_set(m) for m in mins))
 
 
 def is_nash(state: StrategyVector, params: GameParams) -> EquilibriumReport:
@@ -238,7 +233,7 @@ def is_nash(state: StrategyVector, params: GameParams) -> EquilibriumReport:
                 witness = Deviation(
                     player=player,
                     old_strategy=state[player],
-                    new_strategy=_mask_to_set(mask),
+                    new_strategy=mask_to_set(mask),
                     old_cost=scan.sp.to_cost(cur),
                     new_cost=scan.sp.to_cost(c),
                 )
@@ -418,7 +413,7 @@ def is_strong(
                 witness = CoalitionDeviation(
                     players=coalition,
                     old_strategies=tuple(state[m] for m in coalition),
-                    new_strategies=tuple(_mask_to_set(new_masks[m]) for m in coalition),
+                    new_strategies=tuple(mask_to_set(new_masks[m]) for m in coalition),
                     old_costs=tuple(sp.to_cost(cur[m]) for m in coalition),
                     new_costs=tuple(new_costs),
                 )
@@ -682,11 +677,13 @@ def enumerate_equilibria(
     find them, and ``states_examined`` is the size of the full strategy
     space, 2^(n(n-1)).  With ``workers`` > 1 the edge masks are split into
     contiguous ranges and the hits merged in that order, so the result does
-    not depend on the worker count.  Strong mode verifies one representative
-    per player-permutation class (the game is fully symmetric, so the verdict
-    is class-invariant).  The optimum cost is the closed form of
-    :func:`theory.social_optimum_class`, the cheapest of the empty graph, the
-    star and the complete graph.
+    not depend on the worker count.  The states are built from the hits'
+    target masks by :meth:`StrategyVector.many_from_masks`, which checks
+    each (player, target set) once instead of every target of every state.
+    Strong mode verifies one representative per player-permutation class
+    (the game is fully symmetric, so the verdict is class-invariant).  The
+    optimum cost is the closed form of :func:`theory.social_optimum_class`,
+    the cheapest of the empty graph, the star and the complete graph.
     """
     if mode not in ("nash", "strong"):
         raise ValueError(f"mode must be 'nash' or 'strong', got {mode!r}")
@@ -706,6 +703,8 @@ def enumerate_equilibria(
     else:
         chunk = -(-graphs // workers)
         bounds = [(lo, min(lo + chunk, graphs)) for lo in range(0, graphs, chunk)]
+        from concurrent.futures import ProcessPoolExecutor  # only here: it loads multiprocessing
+
         with ProcessPoolExecutor(
             max_workers=workers, initializer=_init_worker, initargs=(params,)
         ) as pool:
@@ -718,8 +717,7 @@ def enumerate_equilibria(
         )
     hits.sort()
 
-    target_sets = {m: _mask_to_set(m) for m in {m for hit in hits for m in hit[1]}}
-    states = tuple(StrategyVector(tuple(target_sets[m] for m in masks)) for _, masks, _, _ in hits)
+    states = StrategyVector.many_from_masks(n, [hit[1] for hit in hits])
     scaled = [hit[2] for hit in hits]
     # hits share their graph's cost, so there are few distinct values: convert each once
     to_cost = {c: engine.sp.to_cost(c) for c in set(scaled)}

@@ -44,6 +44,8 @@ def as_rational(value) -> Fraction:
     """Convert ints, strings like ``3/2``, and Fractions to an exact Fraction."""
     if isinstance(value, float):
         raise ValueError(f"refusing inexact float {value!r}; pass a Fraction or 'p/q' string")
+    if isinstance(value, bool):  # True == 1 would pass as a price
+        raise ValueError(f"expected a rational p/q, got {value!r}")
     try:
         return Fraction(value)
     except (ValueError, ZeroDivisionError):
@@ -81,9 +83,32 @@ class GameParams:
         return self.beta == INFINITE
 
 
+def mask_to_set(mask: int) -> frozenset:
+    """The players whose bits are set in ``mask``."""
+    return frozenset(b for b in range(mask.bit_length()) if mask >> b & 1)
+
+
+def check_targets(player: int, targets: frozenset, n: int) -> None:
+    """Refuse a target set of ``player`` that holds a non-integer, a player
+    outside 0..n-1, or ``player`` itself."""
+    for j in targets:
+        # bool is an int subclass, and True == 1 would hide in a target set
+        if type(j) is not int and (isinstance(j, bool) or not isinstance(j, int)):
+            raise ValueError(f"player {player}: target {j!r} is not an integer")
+        if not 0 <= j < n:
+            raise ValueError(f"player {player}: target {j!r} out of range 0..{n - 1}")
+        if j == player:
+            raise ValueError(f"player {player} cannot buy a link to itself")
+
+
 @dataclass(frozen=True)
 class StrategyVector:
-    """One link-purchase set per player; ``strategies[i]`` never contains i."""
+    """One link-purchase set per player; ``strategies[i]`` never contains i.
+
+    The constructor checks every target of every player.  Enumerated states
+    come from :meth:`many_from_masks`, which checks each (player, target set)
+    once and shares the checked set among all the states that hold it.
+    """
 
     strategies: tuple
 
@@ -94,14 +119,39 @@ class StrategyVector:
         if n < 1:
             raise ValueError("empty strategy vector")
         for i, targets in enumerate(strategies):
-            for j in targets:
-                # bool is an int subclass, and True == 1 would hide in a target set
-                if type(j) is not int and (isinstance(j, bool) or not isinstance(j, int)):
-                    raise ValueError(f"player {i}: target {j!r} is not an integer")
-                if not 0 <= j < n:
-                    raise ValueError(f"player {i}: target {j!r} out of range 0..{n - 1}")
-                if j == i:
-                    raise ValueError(f"player {i} cannot buy a link to itself")
+            check_targets(i, targets, n)
+
+    @classmethod
+    def many_from_masks(cls, n: int, rows: Sequence[Sequence[int]]) -> tuple:
+        """States from rows of n target masks: bit j of ``row[i]`` set iff i buys the link to j.
+
+        Equal to ``StrategyVector`` of each row's target sets, but each
+        distinct (player, mask) is turned into a frozenset and checked only
+        once, however many rows hold it.
+        """
+        if n < 1:
+            raise ValueError("empty strategy vector")
+        for row in rows:
+            if len(row) != n:
+                raise ValueError(f"row has {len(row)} target masks, expected {n}")
+        tables = []
+        for i in range(n):
+            table = {}
+            for mask in {row[i] for row in rows}:
+                if type(mask) is not int or mask < 0:
+                    raise ValueError(f"player {i}: target mask {mask!r} is not a non-negative integer")
+                targets = mask_to_set(mask)
+                check_targets(i, targets, n)
+                table[mask] = targets
+            tables.append(table)
+        new = object.__new__
+        set_field = object.__setattr__
+        states = []
+        for row in rows:
+            state = new(cls)
+            set_field(state, "strategies", tuple(map(dict.__getitem__, tables, row)))
+            states.append(state)
+        return tuple(states)
 
     @property
     def n(self) -> int:

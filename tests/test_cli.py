@@ -6,7 +6,10 @@ Exit codes are part of the contract: 0 success, 1 validation/usage error,
 
 import csv
 import io
+import os
 import shlex
+import subprocess
+import sys
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -294,6 +297,13 @@ def test_sweep_spec_validation():
         SweepSpec(ns=[3], alphas=[F(1)], betas=[F(2)], mode="mixed")
 
 
+def test_sweep_spec_refuses_bool_prices():
+    with pytest.raises(ValueError, match="expected a rational p/q, got True"):
+        SweepSpec(ns=[3], alphas=[F(1), True], betas=[F(2)])
+    with pytest.raises(ValueError, match="expected a rational p/q, got True"):
+        SweepSpec(ns=[3], alphas=[F(1)], betas=[F(2), True])
+
+
 def test_sweep_spec_max_coalition_checked_at_every_n():
     with pytest.raises(ValueError, match="max_coalition must be in 1..3, got 0"):
         SweepSpec(ns=[3], alphas=[F(1)], betas=[F(2)], max_coalition=0)
@@ -371,6 +381,15 @@ def test_canonical_form_budget_exit_code(capsys, monkeypatch):
         code, out, err = run_cli(capsys, "enumerate", "--n", "4", "--alpha", "1", "--beta", "3", *flag)
         assert code == 2 and out == ""
         assert "guard: canonical forms of 528 Nash states" in err and "budget of 12671" in err
+
+
+def test_import_leaves_the_process_pool_unloaded():
+    # only workers > 1 needs concurrent.futures.process (and multiprocessing, pickle, socket)
+    src = str(Path(equilibria.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = "import sys, pcg, pcg.cli; print('concurrent.futures.process' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout == "False\n"
 
 
 def test_unknown_subcommand_and_missing_args(capsys):

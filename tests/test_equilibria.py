@@ -18,7 +18,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from pcg import equilibria
+from pcg import equilibria, game
 from pcg.bitgraph import submasks_ascending
 from pcg.constructions import CanonicalKind, canonical_state
 from pcg.dynamics import DynamicsPolicy, MoveRule, TieRule, step
@@ -47,6 +47,7 @@ from pcg.game import (
     random_state,
     social_cost,
 )
+from pcg.stateio import parse_state, serialize_state
 
 
 def sv(*buys):
@@ -577,6 +578,42 @@ def test_cost_extrema_at_the_paper_points():
     r = enumerate_equilibria(GameParams(5, F(1), F(3)))
     assert_extrema_match_costs(r)
     assert len(r.equilibria) == 43728
+
+
+def test_enumeration_checks_each_player_target_set_once(monkeypatch):
+    # states are built from target masks, so no state runs the per-target loop of its own
+    calls = {"check_targets": 0, "post_init": 0}
+    check_targets = game.check_targets
+    post_init = StrategyVector.__post_init__
+
+    def counted_check(*args):
+        calls["check_targets"] += 1
+        return check_targets(*args)
+
+    def counted_post_init(self):
+        calls["post_init"] += 1
+        post_init(self)
+
+    monkeypatch.setattr(game, "check_targets", counted_check)
+    monkeypatch.setattr(StrategyVector, "__post_init__", counted_post_init)
+    n = 5
+    r = enumerate_equilibria(GameParams(n, F(1), F(3)))
+    assert len(r.equilibria) == 43728
+    assert 0 < calls["check_targets"] <= n * 2 ** (n - 1)
+    assert calls["post_init"] == 0
+
+
+def test_enumerated_states_equal_validated_states():
+    points = [GameParams(n, a, b) for n in (3, 4) for a in README_SWEEP_ALPHAS for b in README_SWEEP_BETAS]
+    points.append(GameParams(5, F(1), F(3)))
+    assert len(points) == 51
+    for params in points:
+        states = enumerate_equilibria(params).equilibria
+        validated = [StrategyVector(tuple(frozenset(t) for t in s.strategies)) for s in states]
+        assert len(states) == len(validated)
+        for state, expected in zip(states, validated):
+            assert state == expected and hash(state) == hash(expected), params
+            assert parse_state(serialize_state(state, params)) == (state, params)
 
 
 def test_enumeration_takes_the_optimum_from_the_closed_form(monkeypatch):

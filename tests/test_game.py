@@ -27,6 +27,7 @@ from pcg.game import (
     individual_cost,
     induce_graph,
     is_infinite,
+    mask_to_set,
     random_state,
     social_cost,
 )
@@ -147,6 +148,18 @@ def test_zero_denominator_is_a_value_error():
     assert as_penalty(" INF ") == INFINITE
 
 
+def test_bool_prices_rejected():
+    # True == 1, so without a type check GameParams(5, True, 3) silently had alpha = 1
+    for value in (True, False):
+        for parse in (as_rational, as_penalty):
+            with pytest.raises(ValueError, match=f"expected a rational p/q, got {value}"):
+                parse(value)
+    with pytest.raises(ValueError, match="expected a rational p/q, got True"):
+        GameParams(5, True, 3)
+    with pytest.raises(ValueError, match="expected a rational p/q, got True"):
+        GameParams(5, 1, True)
+
+
 def test_self_purchase_rejected():
     with pytest.raises(ValueError):
         sv({0}, set(), set())
@@ -160,6 +173,29 @@ def test_bool_target_rejected():
         sv(set(), {False}, set())
     with pytest.raises(ValueError, match="not an integer"):
         sv({"1"}, set())
+
+
+def test_many_from_masks_refuses_bad_rows_like_the_constructor():
+    good = (0b110, 0b001, 0b000)
+    for bad in ((0b000, 0b010, 0b000), (0b000, 0b000, 0b1000)):  # own bit; a mask of 2^n
+        with pytest.raises(ValueError) as direct:
+            StrategyVector(tuple(mask_to_set(m) for m in bad))
+        with pytest.raises(ValueError) as many:
+            StrategyVector.many_from_masks(3, [good, bad])
+        assert str(many.value) == str(direct.value)
+    with pytest.raises(ValueError, match="player 1: target mask -1 is not a non-negative integer"):
+        StrategyVector.many_from_masks(3, [(0, -1, 0)])
+    with pytest.raises(ValueError, match="row has 2 target masks, expected 3"):
+        StrategyVector.many_from_masks(3, [good, (0, 0)])
+    with pytest.raises(ValueError, match="empty strategy vector"):
+        StrategyVector.many_from_masks(0, [])
+
+
+def test_many_from_masks_shares_each_checked_set():
+    rows = [(0b110, 0b001, 0b000), (0b010, 0b001, 0b011), (0b110, 0b100, 0b011)]
+    states = StrategyVector.many_from_masks(3, rows)
+    assert states == tuple(StrategyVector(tuple(mask_to_set(m) for m in row)) for row in rows)
+    assert states[0][0] is states[2][0] and states[1][2] is states[2][2]
 
 
 def test_target_out_of_range_rejected():
