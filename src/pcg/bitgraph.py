@@ -8,13 +8,14 @@ cost times L = lcm(q1, q2) is an integer, so comparisons stay exact while
 avoiding Fraction overhead.  ``game.INFINITE`` stands in for the infinite
 penalty; it orders and adds correctly against ints.
 
-The per-n structure tables (distance sums and unreachable counts for every
-edge set) are cached, built once, and shared by equilibrium enumeration and
-brute-force optimum search.
+The per-n structure tables (the :func:`graph_rows` of every edge set) are
+cached, built once, and shared by equilibrium enumeration and brute-force
+optimum search.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 from typing import Sequence
@@ -92,9 +93,13 @@ def incident_mask(n: int, vertex: int) -> int:
     return star_mask(n, vertex, ((1 << n) - 1) ^ (1 << vertex))
 
 
-_structure_cache: dict = {}
+def graph_rows(g: int, n: int) -> tuple:
+    """(distance sum, unreachable count) of every vertex of edge set g."""
+    adj = adjacency_masks(g, n)
+    return tuple([bfs_row(adj, v, n) for v in range(n)])  # a list display beats a generator here
 
 
+@functools.cache
 def structure_table(n: int) -> tuple:
     """Per edge set g and vertex v: distance sum and unreachable count.
 
@@ -103,36 +108,22 @@ def structure_table(n: int) -> tuple:
     """
     if n > _TABLE_MAX_N:
         raise ValueError(f"structure table limited to n <= {_TABLE_MAX_N}, got {n}")
-    cached = _structure_cache.get(n)
-    if cached is not None:
-        return cached
-    graphs = 1 << pair_count(n)
-    dist_sums = bytearray(graphs * n)
-    missing = bytearray(graphs * n)
-    for g in range(graphs):
-        adj = adjacency_masks(g, n)
-        base = g * n
-        for v in range(n):
-            ds, miss = bfs_row(adj, v, n)
-            dist_sums[base + v] = ds
-            missing[base + v] = miss
-    result = (bytes(dist_sums), bytes(missing))
-    _structure_cache[n] = result
-    return result
+    dist_sums = bytearray()
+    missing = bytearray()
+    for g in range(1 << pair_count(n)):
+        for ds, miss in graph_rows(g, n):
+            dist_sums.append(ds)
+            missing.append(miss)
+    return bytes(dist_sums), bytes(missing)
 
 
-_signature_cache: dict = {}
-
-
+@functools.cache
 def graph_signatures(n: int) -> dict:
     """Map (edge count, total distance, disconnected pair count) -> smallest edge mask.
 
     Social cost depends on an edge set only through this signature, so the
     optimum search scans signatures instead of all 2^C(n,2) graphs.
     """
-    cached = _signature_cache.get(n)
-    if cached is not None:
-        return cached
     dist_sums, missing = structure_table(n)
     signatures: dict = {}
     for g in range(1 << pair_count(n)):
@@ -144,7 +135,6 @@ def graph_signatures(n: int) -> dict:
         )
         if sig not in signatures:
             signatures[sig] = g
-    _signature_cache[n] = signatures
     return signatures
 
 

@@ -99,6 +99,13 @@ def _params_args(sub, required: bool = True):
     sub.add_argument("--beta", type=_arg(as_penalty), required=required, help="disconnection penalty p/q, or inf")
 
 
+def _enumeration_args(sub):
+    sub.add_argument("--mode", choices=("nash", "strong"), default="nash")
+    sub.add_argument("--workers", type=int, default=1)
+    sub.add_argument("--override-guard", action="store_true", help="allow n=6 enumeration")
+    sub.add_argument("--max-coalition", type=int, default=None)
+
+
 def _params_of(args) -> GameParams:
     return GameParams(n=args.n, alpha=args.alpha, beta=args.beta)
 
@@ -438,21 +445,15 @@ def build_parser() -> _Parser:
 
     sub = add("enumerate", _cmd_enumerate, "exhaustive equilibrium enumeration")
     _params_args(sub)
-    sub.add_argument("--mode", choices=("nash", "strong"), default="nash")
+    _enumeration_args(sub)
     sub.add_argument("--dedupe-iso", action="store_true", help="report isomorphism classes")
-    sub.add_argument("--workers", type=int, default=1)
-    sub.add_argument("--override-guard", action="store_true", help="allow n=6 enumeration")
-    sub.add_argument("--max-coalition", type=int, default=None)
 
     sub = add("optimum", _cmd_optimum, "exact social optimum by exhaustive graph search")
     _params_args(sub)
 
     sub = add("poa", _cmd_poa, "anarchy and stability ratios from enumeration")
     _params_args(sub)
-    sub.add_argument("--mode", choices=("nash", "strong"), default="nash")
-    sub.add_argument("--workers", type=int, default=1)
-    sub.add_argument("--override-guard", action="store_true")
-    sub.add_argument("--max-coalition", type=int, default=None)
+    _enumeration_args(sub)
 
     sub = add("classify", _cmd_classify, "analytic region report for a parameter point")
     _params_args(sub)
@@ -477,10 +478,7 @@ def build_parser() -> _Parser:
     sub.add_argument("--n", type=_value_list(int), required=True, help="comma-separated list")
     sub.add_argument("--alpha", type=_value_list(as_rational), required=True, help="comma-separated list")
     sub.add_argument("--beta", type=_value_list(as_penalty), required=True, help="comma-separated list, inf allowed")
-    sub.add_argument("--mode", choices=("nash", "strong"), default="nash")
-    sub.add_argument("--workers", type=int, default=1)
-    sub.add_argument("--override-guard", action="store_true")
-    sub.add_argument("--max-coalition", type=int, default=None)
+    _enumeration_args(sub)
 
     return parser
 

@@ -61,13 +61,6 @@ class CanonicalKind:
             raise ValueError(f"kind {name!r} takes no parameters, got {text!r}")
         return cls(name=name)
 
-    def label(self) -> str:
-        if self.name == "cycle":
-            return f"cycle:{self.length}"
-        if self.name == "clique-of-stars":
-            return f"clique-of-stars:{self.k}:{self.l}"
-        return self.name
-
 
 def _parse_int(text: str, context: str) -> int:
     try:

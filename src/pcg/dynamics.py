@@ -52,9 +52,9 @@ class DynamicsPolicy:
     seed: int = 0
 
     def __post_init__(self):
-        if self.max_steps < 1:
+        if isinstance(self.max_steps, bool) or self.max_steps < 1:  # True == 1 would pass
             raise ValueError(f"max_steps must be >= 1, got {self.max_steps}")
-        if self.seed < 0:
+        if isinstance(self.seed, bool) or self.seed < 0:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
 
 

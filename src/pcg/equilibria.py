@@ -30,6 +30,7 @@ benchmark takes 6-50 ms on a 2-vCPU machine, about 0.13 s for all five.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -42,6 +43,7 @@ from .bitgraph import (
     adjacency_masks,
     bfs_row,
     edges_of_mask,
+    graph_rows,
     graph_signatures,
     incident_mask,
     pair_count,
@@ -299,9 +301,18 @@ def _submasks_upto(mask: int, k) -> Iterable[int]:
 def check_max_coalition(n: int, max_coalition: Optional[int]) -> int:
     """The largest coalition searched at n players; refuses a cap outside 1..n."""
     size_cap = n if max_coalition is None else max_coalition
-    if not 1 <= size_cap <= n:
+    if isinstance(size_cap, bool) or not 1 <= size_cap <= n:  # True == 1 would pass
         raise ValueError(f"max_coalition must be in 1..{n}, got {max_coalition}")
     return size_cap
+
+
+def check_enumeration(n: int, mode: str, workers: int, max_coalition: Optional[int]) -> None:
+    """Refuse an enumeration mode, worker count or coalition cap that is out of range."""
+    if mode not in ("nash", "strong"):
+        raise ValueError(f"mode must be 'nash' or 'strong', got {mode!r}")
+    if isinstance(workers, bool) or workers < 1:  # True == 1 would pass
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    check_max_coalition(n, max_coalition)
 
 
 def is_strong(
@@ -333,17 +344,8 @@ def is_strong(
         full |= m
     incident = [incident_mask(n, v) for v in range(n)]
 
-    rows_cache: dict = {}
-
-    def rows(g: int):
-        r = rows_cache.get(g)
-        if r is None:
-            adj = adjacency_masks(g, n)
-            r = tuple(bfs_row(adj, v, n) for v in range(n))
-            rows_cache[g] = r
-        return r
-
-    cur_rows = rows(full)
+    rows = functools.cache(graph_rows)
+    cur_rows = rows(full, n)
     cur = [
         A * masks[i].bit_count() + L * cur_rows[i][0] + sp.penalty(cur_rows[i][1])
         for i in range(n)
@@ -394,7 +396,7 @@ def is_strong(
                 room = budget_sum(coalition, g)
                 if room is None or added.bit_count() > room:
                     continue
-                r = rows(g)
+                r = rows(g, n)
                 caps = {m: can_buy(cur[m], L * r[m][0] + sp.penalty(r[m][1])) for m in coalition}
                 edges = edges_of_mask(added, n)
                 candidates = [tuple(v for v in e if v in inside) for e in edges]
@@ -508,14 +510,15 @@ class _Engine:
         memo[key] = best
         return best
 
-    def scan_graphs(self, lo: int, hi: int) -> list:
+    def scan_graphs(self, lo: int, hi: int, cap=INFINITE) -> list:
         """Nash states whose edge mask lies in [lo, hi), unsorted.
 
         Each hit is (sort key, owned target masks, scaled social cost,
         disconnected); the last two are computed once per graph and shared by
         its hits.  The cost is scaled as in :class:`ScaledParams`
         (``cost * scale``), so callers compare integers and convert only the
-        values they report.
+        values they report.  The scan stops after the first graph that takes
+        the hits past ``cap``.
         """
         n = self.n
         alpha = self.sp.alpha
@@ -563,6 +566,8 @@ class _Engine:
                     cost = alpha * g.bit_count() + sum(R[gn:gn + n])
                     disconnected = any(missing[gn:gn + n])
                     hits.extend((key, masks, cost, disconnected) for key, masks in found)
+                    if len(hits) > cap:
+                        break
         return hits
 
 
@@ -681,39 +686,39 @@ def enumerate_equilibria(
     target masks by :meth:`StrategyVector.many_from_masks`, which checks
     each (player, target set) once instead of every target of every state.
     Strong mode verifies one representative per player-permutation class
-    (the game is fully symmetric, so the verdict is class-invariant).  The
+    (the game is fully symmetric, so the verdict is class-invariant) in the
+    pass that picks the ``dedupe_iso`` representatives; either one stops the
+    scan once the hits outgrow ``CANONICAL_FORM_BUDGET``.  The
     optimum cost is the closed form of :func:`theory.social_optimum_class`,
     the cheapest of the empty graph, the star and the complete graph.
     """
-    if mode not in ("nash", "strong"):
-        raise ValueError(f"mode must be 'nash' or 'strong', got {mode!r}")
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
     n = params.n
-    check_max_coalition(n, max_coalition)
+    check_enumeration(n, mode, workers, max_coalition)
     limit = ENUMERATION_OVERRIDE_MAX_N if override_guard else ENUMERATION_MAX_N
     if n > limit:
         hint = "" if override_guard else " (pass override_guard=True for n=6)"
         raise GuardExceeded(f"enumeration limited to n <= {limit}, got {n}{hint}")
 
+    classes_needed = mode == "strong" or dedupe_iso
+    # len(hits) > budget // n! exactly when len(hits) * n! > budget
+    cap = CANONICAL_FORM_BUDGET // math.factorial(n) if classes_needed else INFINITE
     engine = _Engine(params)
     graphs = engine.graph_count
     if workers == 1:
-        hits = engine.scan_graphs(0, graphs)
+        hits = engine.scan_graphs(0, graphs, cap)
     else:
         chunk = -(-graphs // workers)
-        bounds = [(lo, min(lo + chunk, graphs)) for lo in range(0, graphs, chunk)]
+        bounds = [(lo, min(lo + chunk, graphs), cap) for lo in range(0, graphs, chunk)]
         from concurrent.futures import ProcessPoolExecutor  # only here: it loads multiprocessing
 
         with ProcessPoolExecutor(
             max_workers=workers, initializer=_init_worker, initargs=(params,)
         ) as pool:
             hits = [hit for part in pool.map(_worker_scan, bounds) for hit in part]
-    relabellings = len(hits) * math.factorial(n)
-    if (mode == "strong" or dedupe_iso) and relabellings > CANONICAL_FORM_BUDGET:
+    if len(hits) > cap:
         raise GuardExceeded(
             f"canonical forms of {len(hits)} Nash states would try {len(hits)}*{n}! = "
-            f"{relabellings} relabellings, over the budget of {CANONICAL_FORM_BUDGET}"
+            f"{len(hits) * math.factorial(n)} relabellings, over the budget of {CANONICAL_FORM_BUDGET}"
         )
     hits.sort()
 
@@ -730,21 +735,20 @@ def enumerate_equilibria(
     poa = _ratio(worst, optimum)
     pos = _ratio(best, optimum)
 
-    forms = (
-        [canonical_permutation_form(s) for s in states] if mode == "strong" or dedupe_iso else None
-    )
-    strong_states = strong_costs = None
-    worst_strong = strong_poa = None
+    classes: dict = {}  # canonical form -> (first state of the class, its strong verdict)
+    verdicts = []
+    if classes_needed:
+        for state in states:
+            form = canonical_permutation_form(state)
+            entry = classes.get(form)
+            if entry is None:
+                verdict = mode == "strong" and is_strong(state, params, max_coalition).verdict
+                entry = classes[form] = (state, verdict)
+            verdicts.append(entry[1])
+
+    strong_states = strong_costs = worst_strong = strong_poa = None
     if mode == "strong":
-        verdicts: dict = {}
-        picked = []
-        for state, cost, form in zip(states, scaled, forms):
-            verdict = verdicts.get(form)
-            if verdict is None:
-                verdict = is_strong(state, params, max_coalition).verdict
-                verdicts[form] = verdict
-            if verdict:
-                picked.append((state, cost))
+        picked = [(s, c) for s, c, verdict in zip(states, scaled, verdicts) if verdict]
         strong_states = tuple(s for s, _ in picked)
         strong_costs = tuple(to_cost[c] for _, c in picked)
         if picked:
@@ -753,12 +757,8 @@ def enumerate_equilibria(
 
     iso_count = iso_reps = None
     if dedupe_iso:
-        seen: dict = {}
-        for state, form in zip(states, forms):
-            if form not in seen:
-                seen[form] = state
-        iso_count = len(seen)
-        iso_reps = tuple(seen.values())
+        iso_count = len(classes)
+        iso_reps = tuple(state for state, _ in classes.values())
 
     return EnumerationResult(
         params=params,
@@ -829,20 +829,12 @@ def price_metrics(
         pos = _ratio(best, result.optimum_cost)
     else:
         worst, best, poa, pos = result.worst_cost, result.best_cost, result.poa, result.pos
-    worst_at = best_at = None
-    for k, c in enumerate(costs):  # the first worst and the first best state
-        if worst_at is None and c == worst:
-            worst_at = k
-        if best_at is None and c == best:
-            best_at = k
-        if worst_at is not None and best_at is not None:
-            break
     return PriceMetrics(
         found=True,
         equilibrium_count=len(states),
         optimum_cost=result.optimum_cost,
         poa=poa,
         pos=pos,
-        worst_state=states[worst_at],
-        best_state=states[best_at],
+        worst_state=states[costs.index(worst)],  # the first worst and the first best state
+        best_state=states[costs.index(best)],
     )

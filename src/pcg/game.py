@@ -59,6 +59,22 @@ def as_penalty(value) -> Cost:
     return as_rational(value)
 
 
+def as_alpha(value) -> Fraction:
+    """An edge price: an exact rational above 0."""
+    alpha = as_rational(value)
+    if alpha <= 0:
+        raise ValueError(f"alpha must be positive, got {alpha}")
+    return alpha
+
+
+def as_beta(value) -> Cost:
+    """A disconnection penalty: an exact rational above 1, or INFINITE."""
+    beta = as_penalty(value)
+    if not beta > 1:
+        raise ValueError(f"beta must exceed 1, got {beta}")
+    return beta
+
+
 @dataclass(frozen=True)
 class GameParams:
     """Population size and prices.  Rejects n < 2, alpha <= 0 and beta <= 1."""
@@ -70,12 +86,8 @@ class GameParams:
     def __post_init__(self):
         if not isinstance(self.n, int) or self.n < 2:
             raise ValueError(f"n must be an integer >= 2, got {self.n!r}")
-        object.__setattr__(self, "alpha", as_rational(self.alpha))
-        object.__setattr__(self, "beta", as_penalty(self.beta))
-        if self.alpha <= 0:
-            raise ValueError(f"alpha must be positive, got {self.alpha}")
-        if not self.beta > 1:
-            raise ValueError(f"beta must exceed 1, got {self.beta}")
+        object.__setattr__(self, "alpha", as_alpha(self.alpha))
+        object.__setattr__(self, "beta", as_beta(self.beta))
 
     @property
     def is_ncg(self) -> bool:
@@ -372,10 +384,7 @@ def random_state(n: int, rng) -> StrategyVector:
     """
     buys = []
     for i in range(n):
-        bits = rng.getrandbits(n - 1)
-        targets = set()
-        for b in range(n - 1):
-            if bits >> b & 1:
-                targets.add(b if b < i else b + 1)
-        buys.append(frozenset(targets))
+        bits = rng.getrandbits(n - 1)  # bit b stands for player b, or b + 1 from b = i on
+        low = bits & ((1 << i) - 1)
+        buys.append(mask_to_set(low | (bits ^ low) << 1))
     return StrategyVector(tuple(buys))

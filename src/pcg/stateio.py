@@ -24,7 +24,7 @@ from fractions import Fraction
 from operator import getitem
 from typing import BinaryIO, Callable, TextIO, Tuple, Union
 
-from .game import Cost, GameParams, StrategyVector, as_penalty, as_rational, check_players, is_infinite
+from .game import Cost, GameParams, StrategyVector, as_alpha, as_beta, check_players, is_infinite
 
 HEADER = "pcg-state v1"
 
@@ -108,12 +108,8 @@ def parse_state(text: Union[str, bytes, TextIO, BinaryIO]) -> Tuple[StrategyVect
     n = _parse_header_int(raw_lines, 2, "n")
     if n < 2:
         raise StateParseError(2, f"n must be >= 2, got {n}")
-    alpha = _parse_header_value(raw_lines, 3, "alpha", as_rational)
-    if alpha <= 0:
-        raise StateParseError(3, f"alpha must be positive, got {format_value(alpha)}")
-    beta = _parse_header_value(raw_lines, 4, "beta", as_penalty)
-    if not beta > 1:
-        raise StateParseError(4, f"beta must exceed 1, got {format_value(beta)}")
+    alpha = _parse_header_value(raw_lines, 3, "alpha", as_alpha)
+    beta = _parse_header_value(raw_lines, 4, "beta", as_beta)
 
     expected = 4 + n
     if len(raw_lines) != expected:
@@ -165,7 +161,8 @@ def _parse_header_value(lines: list, lineno: int, key: str, convert) -> Cost:
     try:
         return convert(value.strip())
     except ValueError as exc:
-        raise StateParseError(lineno, f"{key}: {exc}") from None
+        # a range error names the price itself; a parse error gets the key
+        raise StateParseError(lineno, str(exc) if str(exc).startswith(key) else f"{key}: {exc}") from None
 
 
 def _header_field(lines: list, lineno: int, key: str) -> str:

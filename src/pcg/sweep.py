@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Iterator, Optional, TextIO, Tuple
 
 from . import theory
-from .equilibria import GuardExceeded, check_max_coalition, enumerate_equilibria
+from .equilibria import GuardExceeded, check_enumeration, enumerate_equilibria
 from .game import GameParams, as_penalty, as_rational
 from .stateio import format_value
 
@@ -52,18 +52,12 @@ class SweepSpec:
     def __post_init__(self):
         if not (self.ns and self.alphas and self.betas):
             raise ValueError("sweep grid must be nonempty in n, alpha, and beta")
-        if self.mode not in ("nash", "strong"):
-            raise ValueError(f"mode must be 'nash' or 'strong', got {self.mode!r}")
-        if self.workers < 1:
-            raise ValueError(f"workers must be >= 1, got {self.workers}")
         object.__setattr__(self, "ns", tuple(int(n) for n in self.ns))
         object.__setattr__(self, "alphas", tuple(as_rational(a) for a in self.alphas))
         object.__setattr__(self, "betas", tuple(as_penalty(b) for b in self.betas))
+        tuple(self.points())  # every grid point must be valid
         for n in self.ns:
-            for a in self.alphas:
-                for b in self.betas:
-                    GameParams(n, a, b)  # every grid point must be valid
-            check_max_coalition(n, self.max_coalition)
+            check_enumeration(n, self.mode, self.workers, self.max_coalition)
 
     def points(self) -> Iterator[GameParams]:
         for n in self.ns:

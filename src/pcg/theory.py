@@ -26,8 +26,8 @@ from .game import (
     INFINITE,
     StrategyVector,
     all_pairs_distances,
-    as_penalty,
-    as_rational,
+    as_alpha,
+    as_beta,
     check_players,
     components,
     induce_graph,
@@ -100,7 +100,7 @@ def disconnected_ne_region(alpha, beta) -> bool:
     The empty state is an equilibrium exactly there, boundary included; below
     the boundary every disconnected state admits an improving deviation.
     """
-    a, b = _coerce(alpha, beta)
+    a, b = as_alpha(alpha), as_beta(beta)
     if is_infinite(b):
         return False
     return a >= b - 1
@@ -134,16 +134,6 @@ class BoundEvaluation:
         raise KeyError(name)
 
 
-def _coerce(alpha, beta):
-    a = as_rational(alpha)
-    b = as_penalty(beta)
-    if a <= 0:
-        raise ValueError(f"alpha must be positive, got {a}")
-    if not is_infinite(b) and b <= 1:
-        raise ValueError(f"beta must exceed 1, got {b}")
-    return a, b
-
-
 def component_conditions(label: StructureLabel, alpha, beta) -> BoundEvaluation:
     """Necessary conditions for the labeled structure to be a component of a
     disconnected Nash equilibrium.
@@ -153,7 +143,7 @@ def component_conditions(label: StructureLabel, alpha, beta) -> BoundEvaluation:
     length 5.  Every condition is an exact inequality in (alpha, beta); for a
     clique of stars the leaf count enters through alpha = l.
     """
-    a, b = _coerce(alpha, beta)
+    a, b = as_alpha(alpha), as_beta(beta)
     name = label.name
     checks = []
     if name == "pair":
@@ -204,7 +194,7 @@ def nonempty_ne_bounds(n: int, n_l: int, diam_l: int, alpha, beta) -> BoundEvalu
     components.  Bounds 1 and 3 involve logarithms (see BOUND_LOG_BASE); bound
     4 applies only for n > 6 and is vacuously satisfied otherwise.
     """
-    a, b = _coerce(alpha, beta)
+    a, b = as_alpha(alpha), as_beta(beta)
     if not isinstance(n, int) or not isinstance(n_l, int) or not isinstance(diam_l, int):
         raise ValueError("n, n_l, diam_l must be integers")
     if n_l < 2:
@@ -246,7 +236,7 @@ class ComponentCostBound:
 
 
 def component_cost_lower_bound(n_c: int, m_c: int, alpha, beta) -> ComponentCostBound:
-    a, b = _coerce(alpha, beta)
+    a, b = as_alpha(alpha), as_beta(beta)
     if n_c < 1:
         raise ValueError(f"component size must be >= 1, got {n_c}")
     if not 0 <= m_c <= n_c * (n_c - 1) // 2:
@@ -496,10 +486,6 @@ def classify_region(params: GameParams) -> RegionReport:
     disconnected-equilibrium component here, with the first violated
     condition.
     """
-    if params.is_ncg:
-        disconnected = False
-    else:
-        disconnected = disconnected_ne_region(params.alpha, params.beta)
     exclusions = []
     for label in _EXCLUSION_LABELS:
         evaluation = component_conditions(label, params.alpha, params.beta)
@@ -509,7 +495,7 @@ def classify_region(params: GameParams) -> RegionReport:
     return RegionReport(
         params=params,
         optimum_class=social_optimum_class(params),
-        disconnected_ne_possible=disconnected,
+        disconnected_ne_possible=disconnected_ne_region(params.alpha, params.beta),
         structure_exclusions=tuple(exclusions),
         poa_bound=analytic_poa_bound(params),
     )

@@ -312,6 +312,14 @@ def test_sweep_spec_max_coalition_checked_at_every_n():
     assert SweepSpec(ns=[3, 4], alphas=[F(1)], betas=[F(2)], max_coalition=3).max_coalition == 3
 
 
+def test_sweep_spec_refuses_bool_options():
+    # True == 1, so without a type check these ran one worker and singleton coalitions
+    with pytest.raises(ValueError, match="workers must be >= 1, got True"):
+        SweepSpec(ns=[3], alphas=[F(1)], betas=[F(2)], workers=True)
+    with pytest.raises(ValueError, match="max_coalition must be in 1..3, got True"):
+        SweepSpec(ns=[3], alphas=[F(1)], betas=[F(2)], mode="strong", max_coalition=True)
+
+
 def test_run_sweep_returns_row_count():
     spec = SweepSpec(ns=[3], alphas=[F(1), F(2)], betas=[F(2)])
     buf = io.StringIO()

@@ -243,6 +243,16 @@ def test_policy_validation():
         DynamicsPolicy(seed=-1)
 
 
+def test_policy_refuses_bool_integers():
+    # True == 1 would pass as one step or seed 1
+    with pytest.raises(ValueError, match="max_steps must be >= 1, got True"):
+        DynamicsPolicy(max_steps=True)
+    with pytest.raises(ValueError, match="seed must be nonnegative, got True"):
+        DynamicsPolicy(seed=True)
+    with pytest.raises(ValueError, match="max_steps must be >= 1, got True"):
+        cycle_search(GameParams(3, F(1), F(2)), trials=1, seed=0, max_steps=True)
+
+
 def test_dynamics_guard():
     n = 17
     with pytest.raises(GuardExceeded):

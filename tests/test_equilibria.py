@@ -547,6 +547,52 @@ README_SWEEP_ALPHAS = (F(1, 2), F(1), F(3, 2), F(2), F(3))
 README_SWEEP_BETAS = (F(3, 2), F(2), F(5, 2), F(3), INFINITE)
 
 
+def two_loop_class_tail(nash, mode, dedupe_iso, max_coalition):
+    """The strong and iso fields from a Nash-mode result, one loop for each."""
+    params = nash.params
+    forms = [canonical_permutation_form(s) for s in nash.equilibria]
+    strong = {}
+    if mode == "strong":
+        verdicts = {}
+        picked = []
+        for state, cost, form in zip(nash.equilibria, nash.costs, forms):
+            verdict = verdicts.get(form)
+            if verdict is None:
+                verdict = verdicts[form] = is_strong(state, params, max_coalition).verdict
+            if verdict:
+                picked.append((state, cost))
+        worst = max(c for _, c in picked) if picked else None
+        strong = dict(
+            strong_equilibria=tuple(s for s, _ in picked),
+            strong_costs=tuple(c for _, c in picked),
+            worst_strong_cost=worst,
+            strong_poa=equilibria._ratio(worst, nash.optimum_cost),
+        )
+    iso = {}
+    if dedupe_iso:
+        seen = {}
+        for state, form in zip(nash.equilibria, forms):
+            if form not in seen:
+                seen[form] = state
+        iso = dict(iso_class_count=len(seen), iso_representatives=tuple(seen.values()))
+    return dataclasses.replace(nash, mode=mode, **strong, **iso)
+
+
+@pytest.mark.parametrize(
+    "mode, dedupe_iso, max_coalition",
+    [("strong", False, None), ("strong", True, None), ("strong", False, 2), ("nash", True, None)],
+)
+def test_one_class_pass_matches_two_loops(mode, dedupe_iso, max_coalition):
+    points = [GameParams(n, a, b) for n in (3, 4) for a in README_SWEEP_ALPHAS for b in README_SWEEP_BETAS]
+    points.append(GameParams(5, F(3), F(5, 2)))
+    assert len(points) == 51
+    for params in points:
+        expected = two_loop_class_tail(enumerate_equilibria(params), mode, dedupe_iso, max_coalition)
+        actual = enumerate_equilibria(params, mode, dedupe_iso=dedupe_iso, max_coalition=max_coalition)
+        for field in dataclasses.fields(actual):
+            assert getattr(actual, field.name) == getattr(expected, field.name), (params, field.name)
+
+
 def assert_extrema_match_costs(r):
     assert r.worst_cost == max(r.costs) and r.best_cost == min(r.costs)
     assert r.poa == r.worst_cost / r.optimum_cost
@@ -661,6 +707,54 @@ def test_canonical_form_budget_refuses_before_any_form(monkeypatch):
         with pytest.raises(GuardExceeded, match=r"528 Nash states .* 12672 relabellings, over the budget of 12671"):
             enumerate_equilibria(p, **kwargs)
     assert len(enumerate_equilibria(p).equilibria) == 528  # nash mode computes no form
+
+
+def test_canonical_form_budget_stops_the_scan(monkeypatch):
+    # cap 100 states: the scan stops at the first graph past it, not after all 64 graphs
+    graphs = []
+    adjacency_masks = equilibria.adjacency_masks
+
+    def counted(g, n):
+        graphs.append(g)
+        return adjacency_masks(g, n)
+
+    p = GameParams(4, F(1), F(3))
+    monkeypatch.setattr(equilibria, "CANONICAL_FORM_BUDGET", 100 * 24)
+    monkeypatch.setattr(equilibria, "adjacency_masks", counted)
+    for kwargs in ({"mode": "strong"}, {"dedupe_iso": True}):
+        graphs.clear()
+        with pytest.raises(GuardExceeded, match="over the budget of 2400"):
+            enumerate_equilibria(p, **kwargs)
+        assert 0 < len(graphs) < 64
+    # each worker stops at the same cap, so the refusal counts fewer than all 528 states
+    with pytest.raises(GuardExceeded, match="canonical forms of") as refused:
+        enumerate_equilibria(p, "strong", workers=2)
+    assert 100 < int(str(refused.value).split()[3]) < 528
+    monkeypatch.setattr(equilibria, "CANONICAL_FORM_BUDGET", 528 * 24)
+    graphs.clear()
+    assert enumerate_equilibria(p, dedupe_iso=True).iso_class_count
+    assert len(graphs) == 64
+
+
+def test_bools_refused_as_integer_options():
+    p = GameParams(3, F(1), F(2))
+    state = canonical_state(CanonicalKind.parse("empty"), 3)
+    with pytest.raises(ValueError, match="max_coalition must be in 1..3, got True"):
+        equilibria.check_max_coalition(3, True)
+    with pytest.raises(ValueError, match="max_coalition must be in 1..3, got True"):
+        is_strong(state, p, max_coalition=True)
+    for mode in ("nash", "strong"):
+        with pytest.raises(ValueError, match="max_coalition must be in 1..3, got True"):
+            enumerate_equilibria(p, mode, max_coalition=True)
+        with pytest.raises(ValueError, match="max_coalition must be in 1..3, got True"):
+            price_metrics(p, mode, max_coalition=True)
+        with pytest.raises(ValueError, match="workers must be >= 1, got True"):
+            enumerate_equilibria(p, mode, workers=True)
+        with pytest.raises(ValueError, match="workers must be >= 1, got True"):
+            price_metrics(p, mode, workers=True)
+    with pytest.raises(ValueError, match="workers must be >= 1, got False"):
+        equilibria.check_enumeration(3, "nash", False, None)
+    assert equilibria.check_enumeration(3, "strong", 1, 1) is None
 
 
 def test_canonical_form_budget_value():
@@ -778,9 +872,15 @@ def reference_price_metrics(params, mode):
     def ratio(c):
         return None if c == INFINITE or opt == INFINITE else F(c) / F(opt)
 
-    return PriceMetrics(
-        True, len(states), opt, ratio(worst), ratio(best), states[costs.index(worst)], states[costs.index(best)]
-    )
+    worst_at = best_at = None
+    for k, c in enumerate(costs):  # the first worst and the first best state, by hand
+        if worst_at is None and c == worst:
+            worst_at = k
+        if best_at is None and c == best:
+            best_at = k
+        if worst_at is not None and best_at is not None:
+            break
+    return PriceMetrics(True, len(states), opt, ratio(worst), ratio(best), states[worst_at], states[best_at])
 
 
 @pytest.mark.parametrize("mode", ["nash", "strong"])

@@ -15,11 +15,15 @@ from fractions import Fraction as F
 
 import pytest
 
+from pcg import theory
+from pcg.constructions import StructureLabel
 from pcg.game import (
     INFINITE,
     GameParams,
     StrategyVector,
     all_pairs_distances,
+    as_alpha,
+    as_beta,
     as_penalty,
     as_rational,
     components,
@@ -31,6 +35,7 @@ from pcg.game import (
     random_state,
     social_cost,
 )
+from pcg.stateio import StateParseError, parse_state
 
 
 def sv(*buys):
@@ -128,6 +133,42 @@ def test_beta_must_exceed_one():
         GameParams(3, F(1), F(1))
     with pytest.raises(ValueError, match="beta must exceed 1"):
         GameParams(3, F(1), F(1, 2))
+
+
+PRICE_REFUSALS = [
+    (F(0), F(3), 3, "alpha must be positive, got 0"),
+    (F(-1), F(3), 3, "alpha must be positive, got -1"),
+    (F(1), F(1), 4, "beta must exceed 1, got 1"),
+    (F(1), F(1, 2), 4, "beta must exceed 1, got 1/2"),
+]
+
+
+@pytest.mark.parametrize("alpha, beta, line, message", PRICE_REFUSALS)
+def test_price_rules_refused_alike_everywhere(alpha, beta, line, message):
+    entry_points = [
+        lambda: (as_alpha(alpha), as_beta(beta)),
+        lambda: GameParams(4, alpha, beta),
+        lambda: theory.disconnected_ne_region(alpha, beta),
+        lambda: theory.component_conditions(StructureLabel("pair"), alpha, beta),
+        lambda: theory.nonempty_ne_bounds(8, 2, 1, alpha, beta),
+        lambda: theory.component_cost_lower_bound(3, 2, alpha, beta),
+    ]
+    for call in entry_points:
+        with pytest.raises(ValueError) as refused:
+            call()
+        assert str(refused.value) == message
+    text = f"pcg-state v1\nn 2\nalpha {alpha}\nbeta {beta}\nbuys 0 :\nbuys 1 :\n"
+    with pytest.raises(StateParseError) as refused:
+        parse_state(text)
+    assert refused.value.line == line and str(refused.value) == f"line {line}: {message}"
+
+
+def test_price_rules_keep_exact_values():
+    assert as_alpha("3/2") == F(3, 2) and as_beta(" inf ") == INFINITE and as_beta(2) == 2
+    with pytest.raises(ValueError, match="expected a rational p/q, got 'x'"):
+        as_alpha("x")
+    with pytest.raises(StateParseError, match="line 3: alpha: expected a rational p/q, got '1/0'"):
+        parse_state("pcg-state v1\nn 2\nalpha 1/0\nbeta 2\nbuys 0 :\nbuys 1 :\n")
 
 
 def test_floats_rejected():
@@ -237,6 +278,27 @@ def test_random_state_reproducible_and_valid():
     for i, targets in enumerate(a.strategies):
         assert i not in targets
         assert all(0 <= t < 5 for t in targets)
+
+
+def per_digit_random_state(n, rng):
+    """random_state as a loop over the n - 1 drawn bits, one target each."""
+    buys = []
+    for i in range(n):
+        bits = rng.getrandbits(n - 1)
+        targets = set()
+        for b in range(n - 1):
+            if bits >> b & 1:
+                targets.add(b if b < i else b + 1)
+        buys.append(frozenset(targets))
+    return StrategyVector(tuple(buys))
+
+
+def test_random_state_matches_the_per_digit_loop():
+    for n in range(1, 10):
+        for seed in range(300):
+            rng, ref = random.Random(seed), random.Random(seed)
+            assert random_state(n, rng) == per_digit_random_state(n, ref), (n, seed)
+            assert rng.getrandbits(32) == ref.getrandbits(32)  # the same draws were taken
 
 
 def test_random_state_hits_full_support():
