@@ -141,10 +141,9 @@ def graph_signatures(n: int) -> dict:
 class ScaledParams:
     """Prices cleared of denominators: cost * scale is always an integer."""
 
-    __slots__ = ("n", "scale", "alpha", "beta")
+    __slots__ = ("scale", "alpha", "beta")
 
     def __init__(self, params: GameParams):
-        self.n = params.n
         alpha = params.alpha
         if params.is_ncg:
             self.scale = alpha.denominator

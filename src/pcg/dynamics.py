@@ -52,9 +52,9 @@ class DynamicsPolicy:
     seed: int = 0
 
     def __post_init__(self):
-        if isinstance(self.max_steps, bool) or self.max_steps < 1:  # True == 1 would pass
+        if type(self.max_steps) is not int or self.max_steps < 1:
             raise ValueError(f"max_steps must be >= 1, got {self.max_steps}")
-        if isinstance(self.seed, bool) or self.seed < 0:
+        if type(self.seed) is not int or self.seed < 0:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
 
 
@@ -234,7 +234,7 @@ def cycle_search(
     Trials are mutually independent, so they could run concurrently; the
     lowest-trial rule keeps the result identical either way.
     """
-    if trials < 0:
+    if type(trials) is not int or trials < 0:
         raise ValueError(f"trials must be nonnegative, got {trials}")
     policy = DynamicsPolicy(
         move_rule=MoveRule.FIRST_IMPROVING,

@@ -301,7 +301,7 @@ def _submasks_upto(mask: int, k) -> Iterable[int]:
 def check_max_coalition(n: int, max_coalition: Optional[int]) -> int:
     """The largest coalition searched at n players; refuses a cap outside 1..n."""
     size_cap = n if max_coalition is None else max_coalition
-    if isinstance(size_cap, bool) or not 1 <= size_cap <= n:  # True == 1 would pass
+    if type(size_cap) is not int or not 1 <= size_cap <= n:
         raise ValueError(f"max_coalition must be in 1..{n}, got {max_coalition}")
     return size_cap
 
@@ -310,7 +310,7 @@ def check_enumeration(n: int, mode: str, workers: int, max_coalition: Optional[i
     """Refuse an enumeration mode, worker count or coalition cap that is out of range."""
     if mode not in ("nash", "strong"):
         raise ValueError(f"mode must be 'nash' or 'strong', got {mode!r}")
-    if isinstance(workers, bool) or workers < 1:  # True == 1 would pass
+    if type(workers) is not int or workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     check_max_coalition(n, max_coalition)
 
@@ -458,6 +458,14 @@ class _Engine:
     are already owned, i picks which of its remaining edges it buys, and a
     failing owned set prunes the branch.
 
+    The check reads two tables, both in scaled integers.  ``R[g * n + i]``
+    is player i's distance and penalty cost in graph g.  ``best[i][h]`` is
+    i's cheapest cost when everyone else's links form the graph h: it starts
+    from ``R[h * n + i]`` (i buys nothing) and one superset-minimum pass per
+    incident edge lets i buy that edge for alpha, n(n-1)·2^C(n,2) steps in
+    all.  An owned set t passes when ``alpha·|t| + R[g * n + i]`` is at most
+    ``best[i][g ^ star(i, t)]``.
+
     Each hit carries a sort key that joins the players' target masks, n bits
     each, player 0 most significant.  Sorting by it orders states
     lexicographically by their target masks, the order of a state-by-state
@@ -483,32 +491,18 @@ class _Engine:
         self.R = R
         # indexed by target mask
         self.star_masks = [[star_mask(n, i, t) for t in range(1 << n)] for i in range(n)]
-        self.alpha_times_count = [sp.alpha * t.bit_count() for t in range(1 << n)]
-        everyone = (1 << n) - 1
-        self.others = [everyone ^ 1 << i for i in range(n)]
-        all_pairs = graphs - 1
-        self.non_incident = [all_pairs & ~incident_mask(n, i) for i in range(n)]
-        self._br_memo: dict = {}
-
-    def _best_alternative(self, player: int, others_graph: int, inc_full: int):
-        """Min scaled cost over the player's strategies given everyone else."""
-        key = (player, others_graph, inc_full)
-        memo = self._br_memo
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
-        sm = self.star_masks[player]
-        ac = self.alpha_times_count
-        R = self.R
-        n = self.n
-        best = None
-        for t in submasks_ascending(self.others[player] & ~inc_full):
-            g = others_graph | sm[t | inc_full]
-            c = ac[t] + R[g * n + player]
-            if best is None or c < best:
-                best = c
-        memo[key] = best
-        return best
+        alpha = sp.alpha
+        self.best = []
+        for i in range(n):
+            b = R[i::n]
+            edges = incident_mask(n, i)
+            while edges:
+                bit = edges & -edges
+                edges ^= bit
+                for h in range(graphs):
+                    if not h & bit and b[h | bit] + alpha < b[h]:
+                        b[h] = b[h | bit] + alpha
+            self.best.append(b)
 
     def scan_graphs(self, lo: int, hi: int, cap=INFINITE) -> list:
         """Nash states whose edge mask lies in [lo, hi), unsorted.
@@ -524,8 +518,6 @@ class _Engine:
         alpha = self.sp.alpha
         R = self.R
         missing = self.missing
-        non_inc = self.non_incident
-        best_alt = self._best_alternative
         shift = [n * (n - 1 - i) for i in range(n)]
         owned = [0] * n
         hits = []
@@ -548,13 +540,12 @@ class _Engine:
             gn = g * n
             passing = []  # per player: passing owned sets, keyed by their part below the player
             for i in range(n):
-                nbr = nbrs[i]
                 lower = (1 << i) - 1
-                others = g & non_inc[i]
                 dist_cost = R[gn + i]
+                best, star = self.best[i], self.star_masks[i]
                 sets: dict = {}
-                for t in submasks_ascending(nbr):
-                    if alpha * t.bit_count() + dist_cost <= best_alt(i, others, nbr & ~t):
+                for t in submasks_ascending(nbrs[i]):
+                    if alpha * t.bit_count() + dist_cost <= best[g ^ star[t]]:
                         sets.setdefault(t & lower, []).append(t)
                 if not sets:
                     break

@@ -84,7 +84,7 @@ class GameParams:
     beta: Cost
 
     def __post_init__(self):
-        if not isinstance(self.n, int) or self.n < 2:
+        if type(self.n) is not int or self.n < 2:
             raise ValueError(f"n must be an integer >= 2, got {self.n!r}")
         object.__setattr__(self, "alpha", as_alpha(self.alpha))
         object.__setattr__(self, "beta", as_beta(self.beta))
@@ -200,15 +200,10 @@ class StrategyVector:
 
 @dataclass(frozen=True)
 class InducedGraph:
-    """Undirected graph induced by a strategy vector, with edge ownership.
-
-    ``edges`` is sorted; ``owners[k]`` is the set of endpoints that paid for
-    ``edges[k]`` (both endpoints when the purchase was duplicated).
-    """
+    """Undirected graph induced by a strategy vector; ``edges`` is sorted."""
 
     n: int
     edges: tuple
-    owners: tuple
 
     def adjacency(self) -> list:
         adj = [set() for _ in range(self.n)]
@@ -219,15 +214,12 @@ class InducedGraph:
 
 
 def induce_graph(state: StrategyVector) -> InducedGraph:
-    """Union of all purchases, remembering who paid for each edge."""
-    n = state.n
-    owners = {}
+    """Union of all purchases; a link bought by both endpoints is one edge."""
+    edges = set()
     for i, targets in enumerate(state.strategies):
         for j in targets:
-            edge = (i, j) if i < j else (j, i)
-            owners.setdefault(edge, set()).add(i)
-    edges = tuple(sorted(owners))
-    return InducedGraph(n, edges, tuple(frozenset(owners[e]) for e in edges))
+            edges.add((i, j) if i < j else (j, i))
+    return InducedGraph(state.n, tuple(sorted(edges)))
 
 
 @dataclass(frozen=True)

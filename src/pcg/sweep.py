@@ -52,7 +52,7 @@ class SweepSpec:
     def __post_init__(self):
         if not (self.ns and self.alphas and self.betas):
             raise ValueError("sweep grid must be nonempty in n, alpha, and beta")
-        object.__setattr__(self, "ns", tuple(int(n) for n in self.ns))
+        object.__setattr__(self, "ns", tuple(self.ns))
         object.__setattr__(self, "alphas", tuple(as_rational(a) for a in self.alphas))
         object.__setattr__(self, "betas", tuple(as_penalty(b) for b in self.betas))
         tuple(self.points())  # every grid point must be valid

@@ -320,6 +320,17 @@ def test_sweep_spec_refuses_bool_options():
         SweepSpec(ns=[3], alphas=[F(1)], betas=[F(2)], mode="strong", max_coalition=True)
 
 
+def test_sweep_spec_refuses_non_integer_workers():
+    with pytest.raises(ValueError, match="workers must be >= 1, got 1.5"):
+        SweepSpec(ns=[3], alphas=[F(1)], betas=[F(2)], workers=1.5)
+
+
+def test_sweep_spec_refuses_non_integer_n():
+    # int(4.7) used to run n = 4 without a word
+    with pytest.raises(ValueError, match="n must be an integer >= 2, got 4.7"):
+        SweepSpec(ns=(4.7,), alphas=[F(1)], betas=[F(2)])
+
+
 def test_run_sweep_returns_row_count():
     spec = SweepSpec(ns=[3], alphas=[F(1), F(2)], betas=[F(2)])
     buf = io.StringIO()

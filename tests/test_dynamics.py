@@ -253,6 +253,18 @@ def test_policy_refuses_bool_integers():
         cycle_search(GameParams(3, F(1), F(2)), trials=1, seed=0, max_steps=True)
 
 
+def test_policy_refuses_non_integer_steps():
+    # accepted before, as a budget of 2.5 attempts
+    with pytest.raises(ValueError, match="max_steps must be >= 1, got 2.5"):
+        DynamicsPolicy(max_steps=2.5)
+
+
+def test_cycle_search_refuses_non_integer_trials():
+    # used to end in a TypeError from range()
+    with pytest.raises(ValueError, match="trials must be nonnegative, got 2.5"):
+        cycle_search(GameParams(3, F(1), F(2)), trials=2.5, seed=0)
+
+
 def test_dynamics_guard():
     n = 17
     with pytest.raises(GuardExceeded):

@@ -19,7 +19,7 @@ from fractions import Fraction as F
 import pytest
 
 from pcg import equilibria, game
-from pcg.bitgraph import submasks_ascending
+from pcg.bitgraph import adjacency_masks, edges_of_mask, incident_mask, submasks_ascending
 from pcg.constructions import CanonicalKind, canonical_state
 from pcg.dynamics import DynamicsPolicy, MoveRule, TieRule, step
 from pcg.equilibria import (
@@ -458,6 +458,73 @@ def test_enumeration_matches_per_state_checks_n4(alpha, beta):
     assert result.states_examined == 4096
 
 
+class MemoisedBestAlternatives:
+    """The engine's ``best[player]`` as a memoised submask search, the way the
+    scan found best alternatives before they became a table."""
+
+    def __init__(self, engine, player):
+        self.engine, self.player = engine, player
+        self.memo = {}
+
+    def __getitem__(self, h):
+        # h is one-to-one with the old memo key (player, others' graph, incoming set)
+        if h not in self.memo:
+            engine, player, n = self.engine, self.player, self.engine.n
+            others_graph = h & ~incident_mask(n, player)
+            inc_full = adjacency_masks(h, n)[player]
+            sm = engine.star_masks[player]
+            self.memo[h] = min(
+                engine.sp.alpha * t.bit_count() + engine.R[(others_graph | sm[t | inc_full]) * n + player]
+                for t in submasks_ascending((((1 << n) - 1) ^ 1 << player) & ~inc_full)
+            )
+        return self.memo[h]
+
+
+README_GRID = [
+    (n, a, b)
+    for n in (3, 4)
+    for a in (F(1, 2), F(1), F(3, 2), F(2), F(3))
+    for b in (F(3, 2), F(2), F(5, 2), F(3), INFINITE)
+]
+
+
+@pytest.mark.parametrize(
+    "n, alpha, beta",
+    README_GRID + [(5, F(1), F(3)), (5, F(3), F(5, 2)), (5, F(2), INFINITE), (6, F(3), F(5, 2))],
+)
+def test_scan_hits_equal_the_memoised_search(n, alpha, beta):
+    engine = _Engine(GameParams(n, alpha, beta))
+    hits = sorted(engine.scan_graphs(0, engine.graph_count))
+    engine.best = [MemoisedBestAlternatives(engine, i) for i in range(n)]
+    assert sorted(engine.scan_graphs(0, engine.graph_count)) == hits
+
+
+@pytest.mark.parametrize("n", range(3, 7))
+@pytest.mark.parametrize(
+    "alpha, beta",
+    [(F(1), F(3)), (F(3, 2), F(5, 2)), (F(2), INFINITE), (F(1, 2), F(3, 2))],  # two on alpha = beta - 1
+)
+def test_best_alternative_table_matches_the_oracle(n, alpha, beta):
+    params = GameParams(n, alpha, beta)
+    engine = _Engine(params)
+    rng = random.Random(n)
+    for _ in range(8):
+        h, player = rng.randrange(engine.graph_count), rng.randrange(n)
+        # the others' links form h: each edge at the player is bought by its other end
+        buys = [set() for _ in range(n)]
+        for a, b in edges_of_mask(h, n):
+            owner, target = (b, a) if a == player else (a, b)
+            buys[owner].add(target)
+        state = StrategyVector(tuple(frozenset(s) for s in buys))
+        others = sorted(set(range(n)) - {player})
+        oracle = min(
+            individual_cost(state.replace(player, targets), player, params).total
+            for k in range(n)
+            for targets in itertools.combinations(others, k)
+        )
+        assert engine.sp.to_cost(engine.best[player][h]) == oracle, (h, player)
+
+
 @pytest.mark.parametrize("n", range(2, 10))
 def test_alternatives_in_canonical_order(n):
     # every strategy once, by size and then by sorted target tuple
@@ -755,6 +822,25 @@ def test_bools_refused_as_integer_options():
     with pytest.raises(ValueError, match="workers must be >= 1, got False"):
         equilibria.check_enumeration(3, "nash", False, None)
     assert equilibria.check_enumeration(3, "strong", 1, 1) is None
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda p, s: enumerate_equilibria(p, workers=1.5), "workers must be >= 1, got 1.5"),
+        (
+            lambda p, s: enumerate_equilibria(p, "strong", max_coalition=1.5),
+            "max_coalition must be in 1..3, got 1.5",
+        ),
+        (lambda p, s: is_strong(s, p, max_coalition=2.5), "max_coalition must be in 1..3, got 2.5"),
+    ],
+    ids=["enumerate-workers", "enumerate-max-coalition", "is-strong-max-coalition"],
+)
+def test_non_integer_options_refused(call, message):
+    # each of these used to end in a TypeError from range()
+    p = GameParams(3, F(1), F(2))
+    with pytest.raises(ValueError, match=message):
+        call(p, canonical_state(CanonicalKind.parse("empty"), 3))
 
 
 def test_canonical_form_budget_value():
