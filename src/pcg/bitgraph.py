@@ -20,9 +20,9 @@ import math
 from fractions import Fraction
 from typing import Sequence
 
-from .game import Cost, GameParams, INFINITE
+from .game import Cost, GameParams, INFINITE, guard
 
-_TABLE_MAX_N = 6  # 2^C(n,2) grows too fast beyond this to tabulate
+TABLE_BUDGET = 1 << 15  # graphs in a structure table: n <= 6
 
 
 def pair_count(n: int) -> int:
@@ -104,10 +104,9 @@ def structure_table(n: int) -> tuple:
     """Per edge set g and vertex v: distance sum and unreachable count.
 
     Returns (dist_sums, missing) as bytes-like arrays indexed ``g * n + v``.
-    Cached per n; n <= 6 keeps this a few hundred kilobytes.
+    Cached per n; ``TABLE_BUDGET`` keeps this a few hundred kilobytes.
     """
-    if n > _TABLE_MAX_N:
-        raise ValueError(f"structure table limited to n <= {_TABLE_MAX_N}, got {n}")
+    guard(f"structure table at n = {n} holds 2^C({n},2) =", 1 << pair_count(n), "graphs", TABLE_BUDGET)
     dist_sums = bytearray()
     missing = bytearray()
     for g in range(1 << pair_count(n)):

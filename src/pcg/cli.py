@@ -6,8 +6,8 @@ classification, bound evaluation, response dynamics and parameter sweeps.
 Rational arguments use p/q syntax (plain integers are fine); ``--beta inf``
 selects the infinite-penalty game.
 
-Exit codes: 0 on success, 1 on a validation or usage error, 2 when a size
-guard refuses the computation.
+Exit codes: 0 on success, 1 on a validation or usage error, 2 when a guard
+refuses the computation because its estimated work is over budget.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from .dynamics import (
     serialize_outcome,
 )
 from .equilibria import (
+    OVERRIDE_FACTOR,
     GuardExceeded,
     enumerate_equilibria,
     is_nash,
@@ -102,7 +103,7 @@ def _params_args(sub, required: bool = True):
 def _enumeration_args(sub):
     sub.add_argument("--mode", choices=("nash", "strong"), default="nash")
     sub.add_argument("--workers", type=int, default=1)
-    sub.add_argument("--override-guard", action="store_true", help="allow n=6 enumeration")
+    sub.add_argument("--override-guard", action="store_true", help=f"multiply the enumeration budget by {OVERRIDE_FACTOR}")
     sub.add_argument("--max-coalition", type=int, default=None)
 
 

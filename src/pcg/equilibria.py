@@ -3,8 +3,8 @@
 All verdicts are exact.  Scan orders are deterministic so witnesses are
 reproducible: players ascending, strategies by size then lexicographic,
 coalitions by size then member tuple, deviation graphs by ascending added-edge
-mask.  Exhaustive operations refuse oversized inputs with
-:class:`GuardExceeded` instead of running forever.
+mask.  Each exhaustive search states its estimated work to :func:`game.guard`,
+which raises :class:`GuardExceeded` when the estimate is over the search's budget.
 
 The strong-equilibrium search enumerates coalition deviations by their
 resulting graph rather than by joint strategy tuples: for a coalition C, any
@@ -51,21 +51,18 @@ from .bitgraph import (
     structure_table,
     submasks_ascending,
 )
-from .game import INFINITE, Cost, GameParams, StrategyVector, check_players, mask_to_set
+from .game import INFINITE, Cost, GameParams, GuardExceeded, StrategyVector, check_players, guard, mask_to_set
 
-BEST_RESPONSE_MAX_N = 16
-ENUMERATION_MAX_N = 5
-ENUMERATION_OVERRIDE_MAX_N = 6
-OPTIMUM_MAX_N = 7
-# Coalition deviation graphs, summed over coalition sizes, that is_strong may face.
-COALITION_WORK_LIMIT = 5_000_000
-# Relabellings tried by the canonical forms of strong mode and dedupe_iso.  A
-# Nash state buys no edge twice, so n = 5 has at most 3^C(5,2) of them.
-CANONICAL_FORM_BUDGET = 3 ** 10 * math.factorial(5)
-
-
-class GuardExceeded(RuntimeError):
-    """An exhaustive search was refused because its space is too large."""
+# Work budgets, each checked by game.guard against the search's own estimate
+BEST_RESPONSE_BUDGET = 16 * 2 ** 15  # n·2^(n-1) strategy costs: n <= 16
+ENUMERATION_BUDGET = 25_920  # n·2^(C(n,2)-n+1)·3^(n-1) owned-set checks: n <= 5
+OVERRIDE_FACTOR = 64  # override_guard's multiple of ENUMERATION_BUDGET: n <= 6
+OPTIMUM_BUDGET = 2 ** 21  # 2^C(n,2) graphs: n <= 7
+PERMUTATION_BUDGET = math.factorial(8)  # n! relabellings per canonical form: n <= 8
+COALITION_WORK_LIMIT = 5_000_000  # deviation graphs, summed over coalition sizes
+# Nash states an enumeration keeps: n = 5 has at most 3^C(5,2), as none buys an edge twice
+STATE_BUDGET = 3 ** 10
+CANONICAL_FORM_BUDGET = STATE_BUDGET * math.factorial(5)  # relabellings by strong mode or dedupe_iso
 
 
 @dataclass(frozen=True)
@@ -125,10 +122,9 @@ class _DirectScan:
     """
 
     def __init__(self, state: StrategyVector, params: GameParams):
-        if params.n > BEST_RESPONSE_MAX_N:
-            raise GuardExceeded(f"best-response scan limited to n <= {BEST_RESPONSE_MAX_N}, got {params.n}")
         check_players(state, params)
-        self.n = params.n
+        n = self.n = params.n
+        guard(f"best response at n = {n}: {n}*2^{n - 1} =", n << n - 1, "strategy costs", BEST_RESPONSE_BUDGET)
         self.sp = ScaledParams(params)
         self.masks = state.masks()
 
@@ -328,12 +324,8 @@ def is_strong(
     n = params.n
     check_players(state, params)
     size_cap = check_max_coalition(n, max_coalition)
-    work = _coalition_work(n, size_cap)
-    if work > COALITION_WORK_LIMIT:
-        raise GuardExceeded(
-            f"coalition search space ~{work} exceeds limit {COALITION_WORK_LIMIT} "
-            f"(n={n}, max_coalition={size_cap})"
-        )
+    what = f"coalition search at n = {n}, max_coalition = {size_cap}, faces up to"
+    guard(what, _coalition_work(n, size_cap), "deviation graphs", COALITION_WORK_LIMIT)
 
     sp = ScaledParams(params)
     L, A = sp.scale, sp.alpha
@@ -427,10 +419,9 @@ def is_strong(
 
 
 def canonical_permutation_form(state: StrategyVector) -> tuple:
-    """Smallest relabeling of the state under player permutations (n <= 8)."""
+    """Smallest relabeling of the state over all n! player permutations."""
     n = state.n
-    if n > 8:
-        raise GuardExceeded(f"permutation canonical form limited to n <= 8, got {n}")
+    guard(f"canonical form at n = {n}: {n}! =", math.factorial(n), "relabellings", PERMUTATION_BUDGET)
     best = None
     for perm in itertools.permutations(range(n)):
         mapped = [None] * n
@@ -597,11 +588,9 @@ def social_optimum_bruteforce(params: GameParams) -> OptimumResult:
     empty graph when it participates in the tie.
     """
     n = params.n
-    if n > OPTIMUM_MAX_N:
-        raise GuardExceeded(
-            f"optimum brute force limited to n <= {OPTIMUM_MAX_N}, got {n}: "
-            f"2^C({n},2) = 2^{pair_count(n)} graphs"
-        )
+    max_n = max(k for k in range(2, n + 1) if 1 << pair_count(k) <= OPTIMUM_BUDGET)
+    what = f"optimum brute force limited to n <= {max_n}, got {n}: 2^C({n},2) = 2^{pair_count(n)} graphs, or"
+    guard(what, 1 << pair_count(n), "graphs", OPTIMUM_BUDGET)
     sp = ScaledParams(params)
     best = None
     best_mask = None
@@ -678,21 +667,20 @@ def enumerate_equilibria(
     each (player, target set) once instead of every target of every state.
     Strong mode verifies one representative per player-permutation class
     (the game is fully symmetric, so the verdict is class-invariant) in the
-    pass that picks the ``dedupe_iso`` representatives; either one stops the
-    scan once the hits outgrow ``CANONICAL_FORM_BUDGET``.  The
+    pass that picks the ``dedupe_iso`` representatives.  The scan stops once
+    the hits outgrow ``STATE_BUDGET``, or their forms ``CANONICAL_FORM_BUDGET``.  The
     optimum cost is the closed form of :func:`theory.social_optimum_class`,
     the cheapest of the empty graph, the star and the complete graph.
     """
     n = params.n
     check_enumeration(n, mode, workers, max_coalition)
-    limit = ENUMERATION_OVERRIDE_MAX_N if override_guard else ENUMERATION_MAX_N
-    if n > limit:
-        hint = "" if override_guard else " (pass override_guard=True for n=6)"
-        raise GuardExceeded(f"enumeration limited to n <= {limit}, got {n}{hint}")
+    e, factor = pair_count(n) - n + 1, OVERRIDE_FACTOR if override_guard else 1
+    what = f"enumeration at n = {n} (--override-guard: budget x{OVERRIDE_FACTOR}): {n}*2^{e}*3^{n - 1} ="
+    guard(what, (n << e) * 3 ** (n - 1), "owned-set checks", ENUMERATION_BUDGET * factor)
 
     classes_needed = mode == "strong" or dedupe_iso
-    # len(hits) > budget // n! exactly when len(hits) * n! > budget
-    cap = CANONICAL_FORM_BUDGET // math.factorial(n) if classes_needed else INFINITE
+    # the scan stops past both guards below: len(hits) > budget // n! exactly when len(hits) * n! > budget
+    cap = min(STATE_BUDGET, CANONICAL_FORM_BUDGET // math.factorial(n)) if classes_needed else STATE_BUDGET
     engine = _Engine(params)
     graphs = engine.graph_count
     if workers == 1:
@@ -706,11 +694,11 @@ def enumerate_equilibria(
             max_workers=workers, initializer=_init_worker, initargs=(params,)
         ) as pool:
             hits = [hit for part in pool.map(_worker_scan, bounds) for hit in part]
-    if len(hits) > cap:
-        raise GuardExceeded(
-            f"canonical forms of {len(hits)} Nash states would try {len(hits)}*{n}! = "
-            f"{len(hits) * math.factorial(n)} relabellings, over the budget of {CANONICAL_FORM_BUDGET}"
-        )
+    k = len(hits)
+    guard(f"enumeration at n = {n} keeps every state it finds, and its scan stopped at", k, "Nash states", STATE_BUDGET)
+    if classes_needed:
+        what = f"canonical forms of {k} Nash states would try {k}*{n}! ="
+        guard(what, k * math.factorial(n), "relabellings", CANONICAL_FORM_BUDGET)
     hits.sort()
 
     states = StrategyVector.many_from_masks(n, [hit[1] for hit in hits])

@@ -269,6 +269,16 @@ def check_players(state: StrategyVector, params: GameParams) -> None:
         raise ValueError(f"state has {state.n} players, params expect {params.n}")
 
 
+class GuardExceeded(RuntimeError):
+    """An exhaustive search was refused because its estimated work is over budget."""
+
+
+def guard(what: str, estimate: int, unit: str, budget: int) -> None:
+    """Every refusal: ``{what} {estimate} {unit}, over the budget of {budget}`` when estimate > budget."""
+    if estimate > budget:
+        raise GuardExceeded(f"{what} {estimate} {unit}, over the budget of {budget}")
+
+
 def _penalty(beta: Cost, missing: int) -> Cost:
     # branch so INFINITE * 0 never happens
     return beta * missing if missing else Fraction(0)

@@ -276,6 +276,14 @@ def test_sweep_guard_points_skipped(capsys):
     assert skipped[0][CSV_COLUMNS.index("optimum_class")] == ""
 
 
+def test_sweep_n6_override_skips_only_the_state_budget_point(capsys):
+    code, out, _ = run_cli(capsys, "sweep", "--n", "6", "--alpha", "1,3", "--beta", "3", "--override-guard")
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(out)))[1:]
+    assert [r[-1] for r in rows] == ["skipped:guard", ""]
+    assert rows[1][CSV_COLUMNS.index("ne_count")] == "2887"
+
+
 def test_sweep_records_api_matches_cli(tmp_path, capsys):
     spec = SweepSpec(ns=[4], alphas=[F(1)], betas=[F(3)])
     rows = list(sweep_records(spec))
@@ -382,6 +390,13 @@ def test_guard_exit_code(capsys):
     assert code == 2 and "guard" in err.lower()
     code, _, _ = run_cli(capsys, "optimum", "--n", "9", "--alpha", "1", "--beta", "2")
     assert code == 2
+
+
+@pytest.mark.parametrize("command", ["enumerate", "poa"])
+def test_nash_state_budget_exit_code(capsys, command):
+    code, out, err = run_cli(capsys, command, "--n", "6", "--alpha", "1", "--beta", "3", "--override-guard")
+    assert code == 2 and out == ""
+    assert "Nash states, over the budget of 59049" in err
 
 
 def test_optimum_n8_exit_code(capsys, monkeypatch):

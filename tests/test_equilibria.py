@@ -7,7 +7,7 @@ Core claims:
     byte-stable across worker counts, and its strong mode returns a subset
     of the Nash set;
   * the brute-force optimum matches a test-local naive scan over all graphs;
-  * size guards refuse oversized inputs instead of attempting them.
+  * every guard refuses work over its budget, and says the estimate and the budget.
 """
 
 import dataclasses
@@ -18,10 +18,11 @@ from fractions import Fraction as F
 
 import pytest
 
-from pcg import equilibria, game
+import pcg
+from pcg import bitgraph, equilibria, game
 from pcg.bitgraph import adjacency_masks, edges_of_mask, incident_mask, submasks_ascending
 from pcg.constructions import CanonicalKind, canonical_state
-from pcg.dynamics import DynamicsPolicy, MoveRule, TieRule, step
+from pcg.dynamics import DynamicsPolicy, MoveRule, TieRule, run, step
 from pcg.equilibria import (
     CoalitionDeviation,
     EquilibriumReport,
@@ -846,6 +847,89 @@ def test_non_integer_options_refused(call, message):
 def test_canonical_form_budget_value():
     # a Nash state buys no edge twice, so n = 5 has at most 3^C(5,2) of them
     assert equilibria.CANONICAL_FORM_BUDGET == 3 ** math.comb(5, 2) * math.factorial(5) == 7_085_880
+
+
+def test_state_budget_holds_every_nash_state_at_n5():
+    # in a Nash state each edge is absent or bought by one endpoint
+    assert equilibria.STATE_BUDGET == 3 ** math.comb(5, 2) == 59_049
+
+
+def test_guard_admits_its_budget_and_refuses_one_more():
+    assert game.guard("a scan of", 10, "steps", 10) is None
+    with pytest.raises(GuardExceeded, match=r"^a scan of 11 steps, over the budget of 10$"):
+        game.guard("a scan of", 11, "steps", 10)
+    assert pcg.GuardExceeded is equilibria.GuardExceeded is game.GuardExceeded
+
+
+@pytest.mark.parametrize(
+    "patch, call, estimate, budget",
+    [
+        ({}, lambda: is_nash(StrategyVector.empty(17), GameParams(17, F(1), F(2))), 17 * 2 ** 16, 16 * 2 ** 15),
+        (
+            {"COALITION_WORK_LIMIT": 10},
+            lambda: is_strong(StrategyVector.empty(5), GameParams(5, F(1), F(2))),
+            equilibria._coalition_work(5, 5),
+            10,
+        ),
+        ({}, lambda: canonical_permutation_form(StrategyVector.empty(9)), 362_880, 40_320),
+        ({}, lambda: bitgraph.structure_table(7), 2 ** 21, 2 ** 15),
+        ({}, lambda: social_optimum_bruteforce(GameParams(8, F(1), F(2))), 2 ** 28, 2 ** 21),
+        ({}, lambda: enumerate_equilibria(GameParams(6, F(1), F(2))), 1_492_992, 25_920),
+        (
+            {},
+            lambda: enumerate_equilibria(GameParams(7, F(1), F(2)), override_guard=True),
+            7 * 2 ** 15 * 3 ** 6,
+            25_920 * 64,
+        ),
+        (
+            {"CANONICAL_FORM_BUDGET": 528 * 24 - 1},
+            lambda: enumerate_equilibria(GameParams(4, F(1), F(3)), "strong"),
+            528 * 24,
+            528 * 24 - 1,
+        ),
+        ({"STATE_BUDGET": 527}, lambda: enumerate_equilibria(GameParams(4, F(1), F(3))), 528, 527),
+    ],
+    ids=[
+        "best-response",
+        "coalitions",
+        "canonical-form",
+        "structure-table",
+        "optimum",
+        "enumeration",
+        "enumeration-override",
+        "canonical-budget",
+        "state-budget",
+    ],
+)
+def test_every_guard_names_its_estimate_and_budget(monkeypatch, patch, call, estimate, budget):
+    for name, value in patch.items():
+        monkeypatch.setattr(equilibria, name, value)
+    with pytest.raises(GuardExceeded) as refused:
+        call()
+    message = str(refused.value)
+    assert f" {estimate} " in message and message.endswith(f", over the budget of {budget}")
+
+
+def test_enumeration_refusal_names_the_override():
+    with pytest.raises(GuardExceeded, match=r"--override-guard: budget x64"):
+        enumerate_equilibria(GameParams(6, F(1), F(2)))
+
+
+def test_nash_enumeration_stops_at_the_state_budget():
+    # (6, 1, 3) has 11,064,768 Nash states; keeping them all would take gigabytes
+    with pytest.raises(GuardExceeded, match="stopped at 59136 Nash states, over the budget of 59049"):
+        enumerate_equilibria(GameParams(6, F(1), F(3)), override_guard=True)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [is_nash, lambda s, p: best_response(s, 0, p), lambda s, p: run(s, DynamicsPolicy(), p)],
+    ids=["is-nash", "best-response", "dynamics"],
+)
+def test_player_count_checked_before_the_size_guard(call):
+    # a state of the wrong size is a usage error, even where the guard would refuse
+    with pytest.raises(ValueError, match="state has 5 players, params expect 17"):
+        call(StrategyVector.empty(5), GameParams(17, F(1), F(2)))
 
 
 def test_dedupe_iso_partitions_equilibria():
