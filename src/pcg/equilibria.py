@@ -62,7 +62,6 @@ PERMUTATION_BUDGET = math.factorial(8)  # n! relabellings per canonical form: n 
 COALITION_WORK_LIMIT = 5_000_000  # deviation graphs, summed over coalition sizes
 # Nash states an enumeration keeps: n = 5 has at most 3^C(5,2), as none buys an edge twice
 STATE_BUDGET = 3 ** 10
-CANONICAL_FORM_BUDGET = STATE_BUDGET * math.factorial(5)  # relabellings by strong mode or dedupe_iso
 
 
 @dataclass(frozen=True)
@@ -431,6 +430,28 @@ def canonical_permutation_form(state: StrategyVector) -> tuple:
     return best
 
 
+def _swap_players(row: tuple, i: int) -> tuple:
+    """``row`` (one target mask per player) with players i and i + 1 exchanged."""
+    swapped = [m & ~(3 << i) | (m >> i & 1) << i + 1 | (m >> i + 1 & 1) << i for m in row]
+    swapped[i], swapped[i + 1] = swapped[i + 1], swapped[i]
+    return tuple(swapped)
+
+
+def _orbit(row: tuple) -> set:
+    """Every relabelling of ``row`` under the n! player permutations: its
+    closure under the adjacent transpositions, which generate them all.
+    Each member yields n - 1 images."""
+    orbit, todo = {row}, [row]
+    while todo:
+        current = todo.pop()
+        for i in range(len(row) - 1):
+            image = _swap_players(current, i)
+            if image not in orbit:
+                orbit.add(image)
+                todo.append(image)
+    return orbit
+
+
 # -- exhaustive Nash enumeration ------------------------------------------------
 
 
@@ -647,10 +668,11 @@ def enumerate_equilibria(
     target set) once instead of every target of every state.
     Strong mode verifies one representative per player-permutation class
     (the game is fully symmetric, so the verdict is class-invariant) in the
-    pass that picks the ``dedupe_iso`` representatives.  The scan stops once
-    the hits outgrow ``STATE_BUDGET``, or their forms ``CANONICAL_FORM_BUDGET``.  The
-    optimum cost is the closed form of :func:`theory.social_optimum_class`,
-    the cheapest of the empty graph, the star and the complete graph.
+    pass that picks the ``dedupe_iso`` representatives: a class starts at its
+    first state in scan order, whose :func:`_orbit` marks the rest.  The scan
+    stops once the hits outgrow ``STATE_BUDGET``.  The optimum cost is the
+    closed form of :func:`theory.social_optimum_class`, the cheapest of the
+    empty graph, the star and the complete graph.
     """
     n = params.n
     check_enumeration(n, mode, max_coalition)
@@ -658,16 +680,10 @@ def enumerate_equilibria(
     what = f"enumeration at n = {n} (--override-guard: budget x{OVERRIDE_FACTOR}): {n}*2^{e}*3^{n - 1} ="
     guard(what, (n << e) * 3 ** (n - 1), "owned-set checks", ENUMERATION_BUDGET * factor)
 
-    classes_needed = mode == "strong" or dedupe_iso
-    # the scan stops past both guards below: len(hits) > budget // n! exactly when len(hits) * n! > budget
-    cap = min(STATE_BUDGET, CANONICAL_FORM_BUDGET // math.factorial(n)) if classes_needed else STATE_BUDGET
     engine = _Engine(params)
-    hits = engine.scan_graphs(0, engine.graph_count, cap)
+    hits = engine.scan_graphs(0, engine.graph_count, STATE_BUDGET)
     k = len(hits)
     guard(f"enumeration at n = {n} keeps every state it finds, and its scan stopped at", k, "Nash states", STATE_BUDGET)
-    if classes_needed:
-        what = f"canonical forms of {k} Nash states would try {k}*{n}! ="
-        guard(what, k * math.factorial(n), "relabellings", CANONICAL_FORM_BUDGET)
     hits.sort()
 
     states = StrategyVector.many_from_masks(n, [hit[1] for hit in hits])
@@ -683,16 +699,16 @@ def enumerate_equilibria(
     poa = _ratio(worst, optimum)
     pos = _ratio(best, optimum)
 
-    classes: dict = {}  # canonical form -> (first state of the class, its strong verdict)
-    verdicts = []
-    if classes_needed:
-        for state in states:
-            form = canonical_permutation_form(state)
-            entry = classes.get(form)
-            if entry is None:
+    reps, verdicts = [], []  # the first state of each class in scan order; each state's strong verdict
+    if mode == "strong" or dedupe_iso:
+        classes: dict = {}  # target masks -> the strong verdict of their class; orbits partition the hits
+        for state, hit in zip(states, hits):
+            verdict = classes.get(hit[1])
+            if verdict is None:
                 verdict = mode == "strong" and is_strong(state, params, max_coalition).verdict
-                entry = classes[form] = (state, verdict)
-            verdicts.append(entry[1])
+                reps.append(state)
+                classes.update(dict.fromkeys(_orbit(hit[1]), verdict))
+            verdicts.append(verdict)
 
     strong_states = strong_costs = worst_strong = strong_poa = None
     if mode == "strong":
@@ -705,8 +721,7 @@ def enumerate_equilibria(
 
     iso_count = iso_reps = None
     if dedupe_iso:
-        iso_count = len(classes)
-        iso_reps = tuple(state for state, _ in classes.values())
+        iso_count, iso_reps = len(reps), tuple(reps)
 
     return EnumerationResult(
         params=params,

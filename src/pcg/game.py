@@ -26,6 +26,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
+import re
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -34,6 +35,8 @@ from typing import Iterable, Optional, Sequence, Union
 INFINITE = math.inf
 
 Cost = Union[Fraction, float]  # the float arm is only ever INFINITE
+RATIONAL_DIGITS = 1_000  # most digits in p or in q of a rational parsed from text
+_RATIONAL = re.compile(rf"\s*[+-]?[0-9]{{1,{RATIONAL_DIGITS}}}(/[0-9]{{1,{RATIONAL_DIGITS}}})?\s*")
 
 
 def is_infinite(value: Cost) -> bool:
@@ -41,11 +44,12 @@ def is_infinite(value: Cost) -> bool:
 
 
 def as_rational(value) -> Fraction:
-    """Convert ints, strings like ``3/2``, and Fractions to an exact Fraction."""
+    """Convert ints, Fractions and strings ``[sign]p[/q]`` of ASCII digits to an exact Fraction."""
     if isinstance(value, float):
         raise ValueError(f"refusing inexact float {value!r}; pass a Fraction or 'p/q' string")
-    if isinstance(value, bool):  # True == 1 would pass as a price
-        raise ValueError(f"expected a rational p/q, got {value!r}")
+    # True == 1 would pass as a price; Fraction alone also reads 1e3000000, 1_000 and non-ASCII digits
+    if isinstance(value, bool) or isinstance(value, str) and not _RATIONAL.fullmatch(value):
+        raise ValueError(f"expected a rational p/q, got {value!r:.80}")
     try:
         return Fraction(value)
     except (ValueError, ZeroDivisionError):

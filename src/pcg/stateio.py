@@ -24,7 +24,7 @@ from fractions import Fraction
 from operator import getitem
 from typing import BinaryIO, Callable, TextIO, Tuple, Union
 
-from .game import Cost, GameParams, StrategyVector, as_alpha, as_beta, check_players, is_infinite
+from .game import RATIONAL_DIGITS, Cost, GameParams, StrategyVector, as_alpha, as_beta, check_players, is_infinite
 
 HEADER = "pcg-state v1"
 
@@ -106,7 +106,7 @@ def parse_state(text: Union[str, bytes, TextIO, BinaryIO]) -> Tuple[StrategyVect
     if raw_lines[0].strip() != HEADER:
         raise StateParseError(1, f"expected header {HEADER!r}, got {raw_lines[0]!r}")
 
-    n = _parse_header_int(raw_lines, 2, "n")
+    n = _digits(_header_field(raw_lines, 2, "n").strip(), 2, "value of n")
     if n < 2:
         raise StateParseError(2, f"n must be >= 2, got {n}")
     alpha = _parse_header_value(raw_lines, 3, "alpha", as_alpha)
@@ -126,18 +126,12 @@ def parse_state(text: Union[str, bytes, TextIO, BinaryIO]) -> Tuple[StrategyVect
         parts = head.split()
         if len(parts) != 2 or parts[0] != "buys" or not sep:
             raise StateParseError(lineno, f"expected 'buys {i} : ...', got {line!r}")
-        try:
-            player = int(parts[1])
-        except ValueError:
-            raise StateParseError(lineno, f"bad player id {parts[1]!r}") from None
+        player = _digits(parts[1], lineno, "player id")
         if player != i:
             raise StateParseError(lineno, f"buys lines must be ascending: expected player {i}, got {player}")
         targets = []
         for token in tail.split():
-            try:
-                t = int(token)
-            except ValueError:
-                raise StateParseError(lineno, f"bad target {token!r}") from None
+            t = _digits(token, lineno, "target")
             if not 0 <= t < n:
                 raise StateParseError(lineno, f"target {t} out of range 0..{n - 1}")
             if t == i:
@@ -149,12 +143,11 @@ def parse_state(text: Union[str, bytes, TextIO, BinaryIO]) -> Tuple[StrategyVect
     return StrategyVector(tuple(strategies)), GameParams(n=n, alpha=alpha, beta=beta)
 
 
-def _parse_header_int(lines: list, lineno: int, key: str) -> int:
-    value = _header_field(lines, lineno, key)
-    try:
-        return int(value)
-    except ValueError:
-        raise StateParseError(lineno, f"bad integer {value!r} for {key}") from None
+def _digits(token: str, lineno: int, what: str) -> int:
+    """``token`` as a number of ASCII digits (int() also takes signs, '_' and other scripts' digits)."""
+    if not (token.isascii() and token.isdigit()) or len(token) > RATIONAL_DIGITS:
+        raise StateParseError(lineno, f"bad {what} {token!r:.80}")
+    return int(token)
 
 
 def _parse_header_value(lines: list, lineno: int, key: str, convert) -> Cost:

@@ -396,6 +396,14 @@ def test_nash_state_budget_exit_code(capsys, command):
     assert "Nash states, over the budget of 59049" in err
 
 
+@pytest.mark.parametrize("flags", [[], ["--mode", "strong"], ["--dedupe-iso"], ["--mode", "strong", "--dedupe-iso"]])
+def test_every_enumeration_mode_stops_at_the_state_budget(capsys, flags):
+    args = ["enumerate", "--n", "6", "--alpha", "1", "--beta", "3", "--override-guard", *flags]
+    code, out, err = run_cli(capsys, *args)
+    assert code == 2 and out == ""
+    assert "stopped at 59136 Nash states, over the budget of 59049" in err
+
+
 def test_optimum_n8_exit_code(capsys, monkeypatch):
     def no_graph_scan(*args):
         raise AssertionError("the optimum guard admitted the graph loop")
@@ -406,12 +414,14 @@ def test_optimum_n8_exit_code(capsys, monkeypatch):
     assert "2^C(8,2) = 2^28 graphs" in err
 
 
-def test_canonical_form_budget_exit_code(capsys, monkeypatch):
-    monkeypatch.setattr(equilibria, "CANONICAL_FORM_BUDGET", 528 * 24 - 1)
-    for flag in (["--dedupe-iso"], ["--mode", "strong"]):
-        code, out, err = run_cli(capsys, "enumerate", "--n", "4", "--alpha", "1", "--beta", "3", *flag)
-        assert code == 2 and out == ""
-        assert "guard: canonical forms of 528 Nash states" in err and "budget of 12671" in err
+def test_non_ascii_or_exponent_rationals_exit_1(tmp_path, capsys):
+    for value in ("1e3", "1.5", "\uff11\uff12", "3 / 2", "1" * 1001):
+        code, out, err = run_cli(capsys, "classify", "--n", "3", "--alpha", value, "--beta", "2")
+        assert code == 1 and out == "" and "expected a rational p/q" in err
+    path = tmp_path / "huge.txt"
+    path.write_text("pcg-state v1\nn 2\nalpha 1e3000000\nbeta 2\nbuys 0 :\nbuys 1 :\n")
+    code, out, err = run_cli(capsys, "cost", "--state", str(path))
+    assert code == 1 and out == "" and "line 3: alpha: expected a rational p/q, got '1e3000000'" in err
 
 
 def test_import_leaves_the_process_pool_unloaded():

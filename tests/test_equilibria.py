@@ -756,45 +756,22 @@ def test_enumeration_guards():
         enumerate_equilibria(GameParams(7, F(1), F(2)), override_guard=True)
 
 
-def test_canonical_form_budget_refuses_before_any_form(monkeypatch):
-    # (4, 1, 3) has 528 Nash states, so its canonical forms try 528 * 4! relabellings
-    def no_form(state):
-        raise AssertionError("canonical form computed past the budget")
+def test_state_budget_refuses_every_mode_alike(monkeypatch):
+    # (4, 1, 3) has 528 Nash states; strong mode and dedupe_iso stop where nash mode does
+    def no_call(*args):
+        raise AssertionError("class pass ran past the state budget")
 
     p = GameParams(4, F(1), F(3))
-    monkeypatch.setattr(equilibria, "CANONICAL_FORM_BUDGET", 528 * 24 - 1)
-    monkeypatch.setattr(equilibria, "canonical_permutation_form", no_form)
-    for kwargs in ({"mode": "strong"}, {"dedupe_iso": True}):
-        with pytest.raises(GuardExceeded, match=r"528 Nash states .* 12672 relabellings, over the budget of 12671"):
+    monkeypatch.setattr(equilibria, "STATE_BUDGET", 527)
+    monkeypatch.setattr(equilibria, "_orbit", no_call)
+    monkeypatch.setattr(equilibria, "is_strong", no_call)
+    messages = set()
+    for kwargs in ({}, {"mode": "strong"}, {"dedupe_iso": True}, {"mode": "strong", "dedupe_iso": True}):
+        with pytest.raises(GuardExceeded) as refused:
             enumerate_equilibria(p, **kwargs)
-    assert len(enumerate_equilibria(p).equilibria) == 528  # nash mode computes no form
-
-
-def test_canonical_form_budget_stops_the_scan(monkeypatch):
-    # cap 100 states: the scan stops at the first graph past it, not after all 64 graphs
-    graphs = []
-    adjacency_masks = equilibria.adjacency_masks
-
-    def counted(g, n):
-        graphs.append(g)
-        return adjacency_masks(g, n)
-
-    p = GameParams(4, F(1), F(3))
-    monkeypatch.setattr(equilibria, "CANONICAL_FORM_BUDGET", 100 * 24)
-    monkeypatch.setattr(equilibria, "adjacency_masks", counted)
-    for kwargs in ({"mode": "strong"}, {"dedupe_iso": True}):
-        graphs.clear()
-        with pytest.raises(GuardExceeded, match="over the budget of 2400"):
-            enumerate_equilibria(p, **kwargs)
-        assert 0 < len(graphs) < 64
-    # the refusal counts the hits where the scan stopped, fewer than all 528 states
-    with pytest.raises(GuardExceeded, match="canonical forms of") as refused:
-        enumerate_equilibria(p, "strong")
-    assert 100 < int(str(refused.value).split()[3]) < 528
-    monkeypatch.setattr(equilibria, "CANONICAL_FORM_BUDGET", 528 * 24)
-    graphs.clear()
-    assert enumerate_equilibria(p, dedupe_iso=True).iso_class_count
-    assert len(graphs) == 64
+        messages.add(str(refused.value))
+    stop = "scan stopped at 528 Nash states, over the budget of 527"
+    assert messages == {f"enumeration at n = 4 keeps every state it finds, and its {stop}"}
 
 
 def test_bools_refused_as_integer_options():
@@ -830,11 +807,6 @@ def test_non_integer_options_refused(call, message):
         call(p, canonical_state(CanonicalKind.parse("empty"), 3))
 
 
-def test_canonical_form_budget_value():
-    # a Nash state buys no edge twice, so n = 5 has at most 3^C(5,2) of them
-    assert equilibria.CANONICAL_FORM_BUDGET == 3 ** math.comb(5, 2) * math.factorial(5) == 7_085_880
-
-
 def test_state_budget_holds_every_nash_state_at_n5():
     # in a Nash state each edge is absent or bought by one endpoint
     assert equilibria.STATE_BUDGET == 3 ** math.comb(5, 2) == 59_049
@@ -867,12 +839,6 @@ def test_guard_admits_its_budget_and_refuses_one_more():
             7 * 2 ** 15 * 3 ** 6,
             25_920 * 64,
         ),
-        (
-            {"CANONICAL_FORM_BUDGET": 528 * 24 - 1},
-            lambda: enumerate_equilibria(GameParams(4, F(1), F(3)), "strong"),
-            528 * 24,
-            528 * 24 - 1,
-        ),
         ({"STATE_BUDGET": 527}, lambda: enumerate_equilibria(GameParams(4, F(1), F(3))), 528, 527),
     ],
     ids=[
@@ -883,7 +849,6 @@ def test_guard_admits_its_budget_and_refuses_one_more():
         "optimum",
         "enumeration",
         "enumeration-override",
-        "canonical-budget",
         "state-budget",
     ],
 )
@@ -926,6 +891,70 @@ def test_dedupe_iso_partitions_equilibria():
     assert len(reps) == r.iso_class_count == len(r.iso_representatives)
     for s in r.equilibria:
         assert canonical_permutation_form(s) in reps
+
+
+def test_orbit_is_every_relabelling():
+    rng = random.Random(7)
+    for n in (2, 3, 4, 5):
+        for _ in range(5):
+            state = random_state(n, rng)
+            relabelled = set()
+            for perm in itertools.permutations(range(n)):
+                mapped = [None] * n
+                for i, targets in enumerate(state.strategies):
+                    mapped[perm[i]] = frozenset(perm[j] for j in targets)
+                relabelled.add(StrategyVector(tuple(mapped)).masks())
+            assert equilibria._orbit(state.masks()) == relabelled
+
+
+@pytest.mark.parametrize(
+    "n, alpha, beta",
+    [(n, a, b) for n in (3, 4) for a in README_SWEEP_ALPHAS for b in README_SWEEP_BETAS] + [(5, F(1), F(3))],
+)
+def test_representative_orbits_partition_equilibria(n, alpha, beta):
+    r = enumerate_equilibria(GameParams(n, alpha, beta), dedupe_iso=True)
+    orbits = [equilibria._orbit(s.masks()) for s in r.iso_representatives]
+    assert len(orbits) == r.iso_class_count
+    assert sum(map(len, orbits)) == len(r.equilibria)
+    assert set().union(*orbits) == {s.masks() for s in r.equilibria}
+
+
+def test_class_pass_builds_n_minus_1_images_per_state(monkeypatch):
+    images = []
+    swap = equilibria._swap_players
+
+    def counted(row, i):
+        images.append(i)
+        return swap(row, i)
+
+    monkeypatch.setattr(equilibria, "_swap_players", counted)
+    for n, alpha, beta in ((4, F(1), F(3)), (5, F(1), F(3))):
+        images.clear()
+        k = len(enumerate_equilibria(GameParams(n, alpha, beta), dedupe_iso=True).equilibria)
+        assert 0 < len(images) <= (n - 1) * k
+
+
+@pytest.mark.parametrize(
+    "beta, ne, classes, se",
+    [(F(3), 18_688, 42, 1_632), (INFINITE, 5_412, 15, 192)],
+    ids=["6-2-3", "6-3-inf"],
+)
+def test_strong_enumeration_at_n6(beta, ne, classes, se):
+    # checked once against two_loop_class_tail, which took 53 s and 16 s on a 2-vCPU host
+    alpha = F(2) if beta == 3 else F(3)
+    r = enumerate_equilibria(GameParams(6, alpha, beta), "strong", dedupe_iso=True, override_guard=True)
+    assert (len(r.equilibria), r.iso_class_count, len(r.strong_equilibria)) == (ne, classes, se)
+    assert set(r.strong_equilibria) <= set(r.equilibria)
+    assert r.strong_poa == 1 <= 4
+
+
+def test_dedupe_iso_classes_match_canonical_forms_at_n6():
+    r = enumerate_equilibria(GameParams(6, F(3), F(5, 2)), dedupe_iso=True, override_guard=True)
+    assert (len(r.equilibria), r.iso_class_count) == (151, 3)
+    forms = [canonical_permutation_form(s) for s in r.equilibria]
+    assert list(dict.fromkeys(forms)) == [canonical_permutation_form(s) for s in r.iso_representatives]
+    for s, form in zip(r.equilibria, forms):
+        assert equilibria._orbit(s.masks()) == {t.masks() for t, f in zip(r.equilibria, forms) if f == form}
 
 
 def test_canonical_permutation_form_invariant_under_relabeling():

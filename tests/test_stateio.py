@@ -6,7 +6,16 @@ from fractions import Fraction as F
 
 import pytest
 
-from pcg.game import INFINITE, GameParams, StrategyVector, random_state
+from pcg.game import (
+    INFINITE,
+    RATIONAL_DIGITS,
+    GameParams,
+    StrategyVector,
+    as_alpha,
+    as_beta,
+    as_rational,
+    random_state,
+)
 from pcg.dynamics import CycleDetected, serialize_outcome
 from pcg.stateio import StateParseError, format_value, parse_state, serialize_state, state_writer
 
@@ -200,6 +209,43 @@ def test_lines_end_only_at_newline():
         assert err(text.replace("\x1c", sep)).line == 7
     state, _ = parse_state(text.replace("x", "1").replace("\n", "\r\n"))
     assert state.strategies == (frozenset(), frozenset({2}), frozenset({1}))
+
+
+# Fraction() reads all of these; the README grammar is [sign]p[/q] in ASCII digits
+NOT_RATIONAL = ["1e3", "1E-2", "1.5", "0x10", "1_000", "\uff11\uff12", "\u0663", "3 / 2", "1" * (RATIONAL_DIGITS + 1)]
+
+
+@pytest.mark.parametrize("value", NOT_RATIONAL, ids=range(len(NOT_RATIONAL)))
+def test_rationals_take_only_ascii_p_over_q(value):
+    with pytest.raises(ValueError, match="expected a rational p/q, got"):
+        as_rational(value)
+    for line, key in ((3, "alpha"), (4, "beta")):
+        header = {"alpha": "1", "beta": "2", key: value}
+        e = err(f"pcg-state v1\nn 2\nalpha {header['alpha']}\nbeta {header['beta']}\nbuys 0 :\nbuys 1 :\n")
+        assert e.line == line and str(e).startswith(f"line {line}: {key}: expected a rational p/q, got")
+
+
+def test_rational_grammar_keeps_what_it_took():
+    assert [as_rational(v) for v in ("3/2", "+3/2", " 7 ", "-1")] == [F(3, 2), F(3, 2), 7, -1]
+    p, q = "1" * RATIONAL_DIGITS, "3" * RATIONAL_DIGITS
+    assert as_rational(f"{p}/{q}") == F(int(p), int(q))
+    assert as_beta(" inf ") == INFINITE
+    with pytest.raises(ValueError, match="alpha must be positive, got -1"):
+        as_alpha("-1")
+    state, params = parse_state("pcg-state v1\nn 2\nalpha +3/2\nbeta  7 \nbuys 0 : 1\nbuys 1 :\n")
+    assert params == GameParams(2, F(3, 2), F(7)) and state.strategies[0] == {1}
+
+
+@pytest.mark.parametrize("line, text", [
+    (5, "pcg-state v1\nn 2\nalpha 1\nbeta 2\nbuys 0 : \uff11\nbuys 1 :\n"),
+    (5, "pcg-state v1\nn 2\nalpha 1\nbeta 2\nbuys 0 : +1\nbuys 1 :\n"),
+    (5, "pcg-state v1\nn 2\nalpha 1\nbeta 2\nbuys \u0660 : 1\nbuys 1 :\n"),
+    (2, "pcg-state v1\nn \uff12\nalpha 1\nbeta 2\nbuys 0 :\nbuys 1 :\n"),
+    (2, "pcg-state v1\nn 2_0\nalpha 1\nbeta 2\nbuys 0 :\nbuys 1 :\n"),
+    (5, "pcg-state v1\nn 2\nalpha 1\nbeta 2\nbuys 0 : " + "1" * 5000 + "\nbuys 1 :\n"),
+], ids=["full-width-target", "signed-target", "arabic-player", "full-width-n", "underscore-n", "5000-digit-target"])
+def test_integers_take_only_ascii_digits(line, text):
+    assert err(text).line == line
 
 
 FUZZ_ALPHABET = "0123456789 :/-\n\r\t\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029\xa0abcinfnsuy_.+e"
