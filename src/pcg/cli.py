@@ -40,6 +40,7 @@ from .equilibria import (
 )
 from .game import (
     GameParams,
+    as_integer,
     as_penalty,
     as_rational,
     components,
@@ -48,7 +49,7 @@ from .game import (
     is_infinite,
     social_cost,
 )
-from .stateio import StateParseError, format_value, parse_state, serialize_state, state_writer
+from .stateio import StateParseError, format_value, parse_state, serialize_state, state_writer, targets_line
 from .sweep import SweepSpec, run_sweep
 
 
@@ -77,13 +78,6 @@ def _arg(convert):
     return parse
 
 
-def _uint(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
-    return value
-
-
 def _value_list(convert):
     def parse(text: str):
         items = [part for part in text.split(",") if part.strip()]
@@ -95,7 +89,7 @@ def _value_list(convert):
 
 
 def _params_args(sub, required: bool = True):
-    sub.add_argument("--n", type=int, required=required, help="number of players")
+    sub.add_argument("--n", type=_arg(as_integer), required=required, help="number of players")
     sub.add_argument("--alpha", type=_arg(as_rational), required=required, help="edge price p/q")
     sub.add_argument("--beta", type=_arg(as_penalty), required=required, help="disconnection penalty p/q, or inf")
 
@@ -103,7 +97,7 @@ def _params_args(sub, required: bool = True):
 def _enumeration_args(sub):
     sub.add_argument("--mode", choices=("nash", "strong"), default="nash")
     sub.add_argument("--override-guard", action="store_true", help=f"multiply the enumeration budget by {OVERRIDE_FACTOR}")
-    sub.add_argument("--max-coalition", type=int, default=None)
+    sub.add_argument("--max-coalition", type=_arg(as_integer), default=None)
 
 
 def _params_of(args) -> GameParams:
@@ -136,11 +130,6 @@ def _fmt(value) -> str:
     return repr(value)  # floats from log-based caps
 
 
-def _targets_line(prefix: str, targets) -> str:
-    body = " ".join(str(t) for t in sorted(targets))
-    return f"{prefix} :" + (f" {body}" if body else "")
-
-
 # -- subcommand handlers ------------------------------------------------------------
 
 
@@ -160,8 +149,6 @@ def _cmd_cost(args) -> int:
     state, params = _load_state(args)
     lines = [f"social {_fmt(social_cost(state, params))}"]
     if args.player is not None:
-        if not 0 <= args.player < params.n:
-            raise ValueError(f"player {args.player} out of range for n={params.n}")
         b = individual_cost(state, args.player, params)
         lines.append(
             f"player {args.player} edge {_fmt(b.edge_cost)} "
@@ -183,8 +170,8 @@ def _cmd_check_nash(args) -> int:
             [
                 "nash false",
                 f"deviation player {d.player}",
-                _targets_line("deviation old", d.old_strategy),
-                _targets_line("deviation new", d.new_strategy),
+                targets_line("deviation old", d.old_strategy),
+                targets_line("deviation new", d.new_strategy),
                 f"deviation old-cost {_fmt(d.old_cost)} new-cost {_fmt(d.new_cost)}",
             ]
         )
@@ -201,7 +188,7 @@ def _cmd_check_strong(args) -> int:
         d = report.witness
         lines = ["strong false", "coalition " + " ".join(str(p) for p in d.players)]
         for idx, player in enumerate(d.players):
-            lines.append(_targets_line(f"member {player} new", d.new_strategies[idx]))
+            lines.append(targets_line(f"member {player} new", d.new_strategies[idx]))
             lines.append(
                 f"member {player} old-cost {_fmt(d.old_costs[idx])} "
                 f"new-cost {_fmt(d.new_costs[idx])}"
@@ -427,18 +414,18 @@ def build_parser() -> _Parser:
         required=True,
         help="empty | complete | center-star | periphery-star | cycle:LEN | clique-of-stars:K:L",
     )
-    sub.add_argument("--center", type=int, default=None, help="center vertex for star kinds")
+    sub.add_argument("--center", type=_arg(as_integer), default=None, help="center vertex for star kinds")
 
     sub = add("cost", _cmd_cost, "social cost of a state, optionally one player's breakdown")
     sub.add_argument("--state", required=True, help="state file")
-    sub.add_argument("--player", type=int, default=None)
+    sub.add_argument("--player", type=_arg(as_integer), default=None)
 
     sub = add("check-nash", _cmd_check_nash, "unilateral-deviation check with witness")
     sub.add_argument("--state", required=True, help="state file")
 
     sub = add("check-strong", _cmd_check_strong, "coalition-deviation check with witness")
     sub.add_argument("--state", required=True, help="state file")
-    sub.add_argument("--max-coalition", type=int, default=None)
+    sub.add_argument("--max-coalition", type=_arg(as_integer), default=None)
 
     sub = add("enumerate", _cmd_enumerate, "exhaustive equilibrium enumeration")
     _params_args(sub)
@@ -458,8 +445,8 @@ def build_parser() -> _Parser:
     sub = add("bounds", _cmd_bounds, "necessary-condition checks for disconnected equilibria")
     sub.add_argument("--state", default=None, help="state file; bounds use its components")
     _params_args(sub, required=False)
-    sub.add_argument("--min-size", type=int, default=None, help="smallest non-singleton component size")
-    sub.add_argument("--min-diameter", type=int, default=None, help="smallest non-singleton component diameter")
+    sub.add_argument("--min-size", type=_arg(as_integer), default=None, help="smallest non-singleton component size")
+    sub.add_argument("--min-diameter", type=_arg(as_integer), default=None, help="smallest non-singleton component diameter")
 
     sub = add("dynamics", _cmd_dynamics, "run response dynamics or search for cycles")
     sub.add_argument("--state", default=None, help="start state file")
@@ -467,12 +454,12 @@ def build_parser() -> _Parser:
     sub.add_argument("--policy", choices=[r.value for r in MoveRule], default=MoveRule.BEST_RESPONSE.value)
     sub.add_argument("--order", choices=[o.value for o in PlayerOrder], default=PlayerOrder.ROUND_ROBIN.value)
     sub.add_argument("--tie", choices=[t.value for t in TieRule], default=TieRule.PREFER_CURRENT.value)
-    sub.add_argument("--seed", type=_uint, default=0)
-    sub.add_argument("--max-steps", type=int, default=10_000)
-    sub.add_argument("--cycle-search", type=_uint, default=None, metavar="TRIALS")
+    sub.add_argument("--seed", type=_arg(as_integer), default=0)
+    sub.add_argument("--max-steps", type=_arg(as_integer), default=10_000)
+    sub.add_argument("--cycle-search", type=_arg(as_integer), default=None, metavar="TRIALS")
 
     sub = add("sweep", _cmd_sweep, "CSV sweep over a parameter grid")
-    sub.add_argument("--n", type=_value_list(int), required=True, help="comma-separated list")
+    sub.add_argument("--n", type=_value_list(as_integer), required=True, help="comma-separated list")
     sub.add_argument("--alpha", type=_value_list(as_rational), required=True, help="comma-separated list")
     sub.add_argument("--beta", type=_value_list(as_penalty), required=True, help="comma-separated list, inf allowed")
     _enumeration_args(sub)

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .game import InducedGraph, StrategyVector, graph_components
+from .game import InducedGraph, StrategyVector, as_integer, check_player, graph_components
 
 KIND_NAMES = ("empty", "complete", "center-star", "periphery-star", "cycle", "clique-of-stars")
 
@@ -47,26 +47,19 @@ class CanonicalKind:
     @classmethod
     def parse(cls, text: str) -> "CanonicalKind":
         """Parse CLI spellings: ``cycle:5``, ``clique-of-stars:3:1``, ``empty``, ..."""
-        parts = text.split(":")
-        name = parts[0]
+        name, *fields = text.split(":")
+        spelling = {"cycle": "cycle:LEN", "clique-of-stars": "clique-of-stars:K:L"}.get(name, name)
+        if len(fields) != spelling.count(":"):
+            raise ValueError(f"expected {spelling}, got {text!r}")
+        try:
+            values = [as_integer(field) for field in fields]
+        except ValueError as exc:
+            raise ValueError(f"{exc} in construction kind {text!r}") from None
         if name == "cycle":
-            if len(parts) != 2:
-                raise ValueError(f"expected cycle:LEN, got {text!r}")
-            return cls(name="cycle", length=_parse_int(parts[1], text))
+            return cls(name=name, length=values[0])
         if name == "clique-of-stars":
-            if len(parts) != 3:
-                raise ValueError(f"expected clique-of-stars:K:L, got {text!r}")
-            return cls(name=name, k=_parse_int(parts[1], text), l=_parse_int(parts[2], text))
-        if len(parts) != 1:
-            raise ValueError(f"kind {name!r} takes no parameters, got {text!r}")
+            return cls(name=name, k=values[0], l=values[1])
         return cls(name=name)
-
-
-def _parse_int(text: str, context: str) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise ValueError(f"bad integer {text!r} in construction kind {context!r}") from None
 
 
 def canonical_state(kind: CanonicalKind, n: int) -> StrategyVector:
@@ -80,8 +73,7 @@ def canonical_state(kind: CanonicalKind, n: int) -> StrategyVector:
             buys[i] = set(range(i + 1, n))
     elif kind.name in ("center-star", "periphery-star"):
         center = kind.center
-        if not 0 <= center < n:
-            raise ValueError(f"center {center} out of range for n={n}")
+        check_player(center, n, "center")
         if kind.name == "center-star":
             buys[center] = set(range(n)) - {center}
         else:

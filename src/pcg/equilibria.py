@@ -35,7 +35,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from typing import Iterator, Optional, Sequence, Union
 
 from . import theory
 from .bitgraph import (
@@ -51,7 +51,9 @@ from .bitgraph import (
     structure_table,
     submasks_ascending,
 )
-from .game import INFINITE, Cost, GameParams, GuardExceeded, StrategyVector, check_players, guard, mask_to_set
+from .game import (
+    INFINITE, Cost, GameParams, GuardExceeded, StrategyVector, check_player, check_players, guard, mask_to_set
+)
 
 # Work budgets, each checked by game.guard against the search's own estimate
 BEST_RESPONSE_BUDGET = 16 * 2 ** 15  # n·2^(n-1) strategy costs: n <= 16
@@ -115,9 +117,12 @@ class BestResponse:
 class _DirectScan:
     """Scaled cost evaluation of one player's alternatives, others fixed.
 
-    ``strategy_cost`` keeps its own BFS: calling :func:`bitgraph.bfs_row`
-    instead took 0.0525 s against 0.0479 s for two full n = 14 player scans
-    on a 2-vCPU host.
+    ``strategy_cost`` keeps its own BFS, which starts from the player's
+    neighbours.  A shared frontier BFS in :mod:`bitgraph` called from here made
+    perfbench's seeded ``is_nash`` probes at n = 12..15 5.3% slower (median CPU
+    time 1.950 s against 1.852 s over 16 alternating in-process rounds on a
+    2-vCPU host; faster in 3 of 16).  With the 24 dynamics runs added, its
+    median was 2.416 s against 2.518 s, but it was faster in only 3 of 8.
     """
 
     def __init__(self, state: StrategyVector, params: GameParams):
@@ -208,6 +213,7 @@ class _DirectScan:
 def best_response(state: StrategyVector, player: int, params: GameParams) -> BestResponse:
     """Exact minimum cost for ``player`` against the others, with all minimizers."""
     scan = _DirectScan(state, params)
+    check_player(player, params.n)
     best, mins = scan.minimizers(player)
     return BestResponse(scan.sp.to_cost(best), tuple(mask_to_set(m) for m in mins))
 
@@ -278,19 +284,6 @@ def _match_edges(candidates: Sequence[tuple], caps: dict) -> Optional[list]:
         return False
 
     return owners if place(0) else None
-
-
-def _submasks_upto(mask: int, k) -> Iterable[int]:
-    """Submasks of ``mask`` with at most ``k`` bits (``k`` may be INFINITE), ascending."""
-    sub = 0
-    while True:
-        yield sub
-        sub = (sub - mask) & mask
-        while sub.bit_count() > k:
-            # every submask below sub plus its lowest bit has too many bits
-            sub = ((sub | ~mask) + (sub & -sub)) & mask
-        if not sub:
-            return
 
 
 def check_max_coalition(n: int, max_coalition: Optional[int]) -> int:
@@ -380,7 +373,7 @@ def is_strong(
             limit = budget_sum(coalition, base | free_slots)
             if limit is None:
                 continue
-            for added in _submasks_upto(free_slots, limit):
+            for added in submasks_ascending(free_slots, limit):
                 g = base | added
                 room = budget_sum(coalition, g)
                 if room is None or added.bit_count() > room:
@@ -589,7 +582,10 @@ def social_optimum_bruteforce(params: GameParams) -> OptimumResult:
     """Exact minimum social cost over all 2^C(n,2) edge sets.
 
     Ties resolve to the smallest edge mask, so boundary parameters return the
-    empty graph when it participates in the tie.
+    empty graph when it participates in the tie.  Up to n = 6 it scans the
+    signatures, built from the cached structure table (2.6 ms at n = 5, against
+    11.4 ms from ``graph_rows``); n = 7 has no table and scans raw graphs, 24.9 s
+    against 29.0 s for a signature loop over ``graph_rows`` (2-vCPU host).
     """
     n = params.n
     max_n = max(k for k in range(2, n + 1) if 1 << pair_count(k) <= OPTIMUM_BUDGET)

@@ -56,6 +56,14 @@ def as_rational(value) -> Fraction:
         raise ValueError(f"expected a rational p/q, got {value!r}") from None
 
 
+def as_integer(text: str) -> int:
+    """An integer written ``[sign]digits`` in ASCII: the grammar of :func:`as_rational` without ``/q``."""
+    match = _RATIONAL.fullmatch(text)
+    if not match or match.group(1):
+        raise ValueError(f"expected an integer, got {text!r:.80}")
+    return int(text)
+
+
 def as_penalty(value) -> Cost:
     """Like :func:`as_rational` but admitting the infinite penalty."""
     if value == INFINITE or (isinstance(value, str) and value.strip().lower() == "inf"):
@@ -115,6 +123,12 @@ def check_targets(player: int, targets: frozenset, n: int) -> None:
             raise ValueError(f"player {player}: target {j!r} out of range 0..{n - 1}")
         if j == player:
             raise ValueError(f"player {player} cannot buy a link to itself")
+
+
+def check_player(player: int, n: int, what: str = "player") -> None:
+    """Refuse a ``player`` that is not an ``int`` in 0..n-1; a bool is refused too."""
+    if type(player) is not int or not 0 <= player < n:
+        raise ValueError(f"{what} {player} out of range for n={n}")
 
 
 @dataclass(frozen=True)
@@ -177,6 +191,7 @@ class StrategyVector:
         return self.strategies[i]
 
     def replace(self, player: int, new_strategy: Iterable[int]) -> "StrategyVector":
+        check_player(player, self.n)
         parts = list(self.strategies)
         parts[player] = frozenset(new_strategy)
         return StrategyVector(tuple(parts))
@@ -291,6 +306,7 @@ def _penalty(beta: Cost, missing: int) -> Cost:
 def individual_cost(state: StrategyVector, player: int, params: GameParams) -> CostBreakdown:
     """alpha per bought link + distance to every reachable player + beta per unreachable one."""
     check_players(state, params)
+    check_player(player, params.n)
     graph = induce_graph(state)
     row = _bfs_row(graph.adjacency(), player, state.n)
     finite = sum(d for d in row if d)

@@ -52,10 +52,14 @@ class _BuysLines(dict):
         self.player = player
 
     def __missing__(self, targets: frozenset) -> str:
-        # int(): a target equal to 1 must print as 1 whatever its type
-        body = "".join(f" {int(t)}" for t in sorted(targets))
-        line = self[targets] = f"buys {self.player} :{body}\n"
+        line = self[targets] = targets_line(f"buys {self.player}", targets) + "\n"
         return line
+
+
+def targets_line(prefix: str, targets) -> str:
+    """``prefix :`` and then `` t`` for each target, ascending: a ``buys`` line or a witness's strategy."""
+    # int(): a target equal to 1 must print as 1 whatever its type
+    return f"{prefix} :" + "".join(f" {int(t)}" for t in sorted(targets))
 
 
 def state_writer(params: GameParams) -> Callable[[StrategyVector], str]:

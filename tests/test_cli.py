@@ -110,6 +110,29 @@ def test_check_strong_true(tmp_path, capsys):
     assert out.strip() == "strong true"
 
 
+WITNESS_BYTES = [
+    (("check-nash", "periphery-star", "5", "1/2", "5/2"),
+     "nash false\ndeviation player 1\ndeviation old : 0\ndeviation new : 0 2\n"
+     "deviation old-cost 15/2 new-cost 7\n"),
+    (("check-nash", "empty", "5", "1", "3"),
+     "nash false\ndeviation player 0\ndeviation old :\ndeviation new : 1\ndeviation old-cost 12 new-cost 11\n"),
+    (("check-strong", "center-star", "6", "1", "3"),
+     "strong false\ncoalition 1 2 3\nmember 1 new : 2\nmember 1 old-cost 9 new-cost 8\n"
+     "member 2 new : 3\nmember 2 old-cost 9 new-cost 8\nmember 3 new : 1\nmember 3 old-cost 9 new-cost 8\n"),
+    (("check-strong", "empty", "6", "1/2", "3/2"),
+     "strong false\ncoalition 0 1 2\nmember 0 new : 1\nmember 0 old-cost 15/2 new-cost 7\n"
+     "member 1 new : 2\nmember 1 old-cost 15/2 new-cost 7\nmember 2 new : 0\nmember 2 old-cost 15/2 new-cost 7\n"),
+]
+
+
+@pytest.mark.parametrize("argv, expected", WITNESS_BYTES, ids=["nash-star", "nash-empty", "strong-star", "strong-empty"])
+def test_witness_bytes(tmp_path, capsys, argv, expected):
+    command, kind, n, alpha, beta = argv
+    path = write_star(tmp_path, n=n, alpha=alpha, beta=beta, kind=kind)
+    code, out, _ = run_cli(capsys, command, "--state", str(path))
+    assert code == 0 and out == expected
+
+
 # -- enumerate / optimum / poa / classify ---------------------------------------------------
 
 
@@ -422,6 +445,39 @@ def test_non_ascii_or_exponent_rationals_exit_1(tmp_path, capsys):
     path.write_text("pcg-state v1\nn 2\nalpha 1e3000000\nbeta 2\nbuys 0 :\nbuys 1 :\n")
     code, out, err = run_cli(capsys, "cost", "--state", str(path))
     assert code == 1 and out == "" and "line 3: alpha: expected a rational p/q, got '1e3000000'" in err
+
+
+BAD_INTEGERS = ["\u0665", "1_0", "\uff13", "0x5", "5.0", "1e1", "5/1", "1" * 1001]
+
+
+@pytest.mark.parametrize("value", BAD_INTEGERS, ids=["arabic", "underscore", "full-width", "hex", "decimal",
+                                                     "exponent", "fraction", "1001-digits"])
+def test_integer_options_take_ascii_digits_only(capsys, value):
+    cases = [
+        (["classify", "--n", value, "--alpha", "3", "--beta", "5/2"], "argument --n: expected an integer"),
+        (["dynamics", "--cycle-search", "2", "--seed", value, "--n", "4", "--alpha", "3", "--beta", "2"],
+         "argument --seed: expected an integer"),
+        (["dynamics", "--cycle-search", value, "--n", "4", "--alpha", "3", "--beta", "2"],
+         "argument --cycle-search: expected an integer"),
+        (["sweep", "--n", f"3,{value}", "--alpha", "1", "--beta", "2"], "argument --n: expected an integer"),
+        (["construct", "--kind", f"cycle:{value}", "--n", "5", "--alpha", "3", "--beta", "5/2"],
+         "in construction kind 'cycle:"),
+        (["construct", "--kind", f"clique-of-stars:3:{value}", "--n", "6", "--alpha", "3", "--beta", "5/2"],
+         "in construction kind 'clique-of-stars:3:"),
+    ]
+    for argv, message in cases:
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1 and out == "" and message in err, argv
+
+
+def test_integer_options_take_a_sign_and_spaces(capsys):
+    for value in ("+5", " 5 "):
+        code, out, _ = run_cli(capsys, "classify", "--n", value, "--alpha", "3", "--beta", "5/2")
+        assert code == 0 and out.splitlines()[0] == "n 5 alpha 3 beta 5/2"
+    code, out, _ = run_cli(capsys, "construct", "--kind", "cycle:+3", "--n", " 4", "--alpha", "3", "--beta", "5/2")
+    assert code == 0 and "buys 2 : 0" in out
+    code, out, err = run_cli(capsys, "dynamics", "--cycle-search", "-1", "--n", "4", "--alpha", "3", "--beta", "2")
+    assert code == 1 and out == "" and "trials must be nonnegative, got -1" in err
 
 
 def test_import_leaves_the_process_pool_unloaded():

@@ -86,8 +86,9 @@ def test_kind_grammar_errors():
 
 
 def test_center_out_of_range():
-    with pytest.raises(ValueError):
-        canonical_state(CanonicalKind(name="center-star", center=7), 4)
+    for center in (7, -1, True):
+        with pytest.raises(ValueError, match=f"^center {center} out of range for n=4$"):
+            canonical_state(CanonicalKind(name="center-star", center=center), 4)
 
 
 def test_star_cost_formula():

@@ -31,7 +31,6 @@ from pcg.equilibria import (
     _DirectScan,
     _Engine,
     _match_edges,
-    _submasks_upto,
     best_response,
     canonical_permutation_form,
     enumerate_equilibria,
@@ -353,8 +352,9 @@ def test_submasks_upto_is_the_ascending_scan_cut_by_size():
     for _ in range(60):
         mask = rng.getrandbits(12)
         for k in (0, 1, 2, 5, 12, INFINITE):
-            expected = [s for s in submasks_ascending(mask) if s.bit_count() <= k]
-            assert list(_submasks_upto(mask, k)) == expected
+            expected = [s for s in range(mask + 1) if s & ~mask == 0 and s.bit_count() <= k]
+            assert list(submasks_ascending(mask, k)) == expected
+        assert list(submasks_ascending(mask)) == expected  # no cap, as for the last k
 
 
 def naive_strong_verdict(state, p, max_coalition=None):

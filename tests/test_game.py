@@ -17,13 +17,16 @@ import pytest
 
 from pcg import theory
 from pcg.constructions import StructureLabel
+from pcg.equilibria import best_response
 from pcg.game import (
     INFINITE,
+    RATIONAL_DIGITS,
     GameParams,
     StrategyVector,
     all_pairs_distances,
     as_alpha,
     as_beta,
+    as_integer,
     as_penalty,
     as_rational,
     components,
@@ -243,6 +246,30 @@ def test_target_out_of_range_rejected():
     p = GameParams(3, F(1), F(2))
     with pytest.raises(ValueError):
         social_cost(sv({3}, set(), set()), p)
+
+
+def test_player_index_checked_everywhere():
+    # n = 3: player 3 does not exist, True is not a player and -1 is not player 2
+    s, p = sv({1}, set(), set()), GameParams(3, F(1), F(2))
+    calls = [
+        lambda player: best_response(s, player, p),
+        lambda player: individual_cost(s, player, p),
+        lambda player: cost_delta(s, player, {0}, p),
+        lambda player: s.replace(player, {0}),
+    ]
+    for call in calls:
+        for player in (3, 5, -1, True):
+            with pytest.raises(ValueError, match=f"^player {player} out of range for n=3$"):
+                call(player)
+    assert individual_cost(s, 2, p).total == 4 and s.replace(2, {0})[2] == {0}
+
+
+def test_integer_grammar_is_the_rational_grammar_without_q():
+    assert [as_integer(v) for v in ("5", "+5", " 5 ", "-1", "007")] == [5, 5, 5, -1, 7]
+    assert as_integer("9" * RATIONAL_DIGITS) == 10 ** RATIONAL_DIGITS - 1
+    for text in ("\u0665", "1_0", "\uff13", "0x5", "5.0", "1e1", "5/1", "1" * (RATIONAL_DIGITS + 1), "", "+", "5 5"):
+        with pytest.raises(ValueError, match="expected an integer"):
+            as_integer(text)
 
 
 # -- graph layer ----------------------------------------------------------------------
