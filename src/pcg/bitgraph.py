@@ -5,8 +5,9 @@ n-bit masks, edge sets are C(n,2)-bit masks with pair (i, j), i < j, at
 bit ``pair_bit(n, i, j)`` (lexicographic over (i, j)).  Costs inside the
 search loops are scaled integers: with alpha = a/q1 and beta = b/q2, every
 cost times L = lcm(q1, q2) is an integer, so comparisons stay exact while
-avoiding Fraction overhead.  ``game.INFINITE`` stands in for the infinite
-penalty; it orders and adds correctly against ints.
+avoiding Fraction overhead; :meth:`ScaledParams.cost` builds every one of them.
+``game.INFINITE`` stands in for the infinite penalty; it orders and adds
+correctly against ints.
 
 The per-n structure tables (the :func:`graph_rows` of every edge set) are
 cached, built once, and shared by equilibrium enumeration and brute-force
@@ -154,9 +155,9 @@ class ScaledParams:
             self.beta = int(params.beta * self.scale)
         self.alpha = int(alpha * self.scale)
 
-    def penalty(self, missing: int):
-        # int, or INFINITE in NCG mode; never INFINITE * 0
-        return self.beta * missing if missing else 0
+    def cost(self, bought: int, dist: int, missing: int):
+        """(alpha·bought + dist + beta·missing)·scale: an int, or INFINITE in NCG mode; never INFINITE * 0."""
+        return self.alpha * bought + self.scale * dist + (self.beta * missing if missing else 0)
 
     def to_cost(self, scaled) -> Cost:
         if scaled == INFINITE:

@@ -38,6 +38,10 @@ class CanonicalKind:
     def __post_init__(self):
         if self.name not in KIND_NAMES:
             raise ValueError(f"unknown construction kind {self.name!r}; expected one of {KIND_NAMES}")
+        for field in ("length", "k", "l"):
+            value = getattr(self, field)
+            if value is not None and type(value) is not int:  # a float or a bool is not one
+                raise ValueError(f"{field} must be an integer, got {value!r}")
         if self.name == "cycle" and (self.length is None or self.length < 3):
             raise ValueError("cycle needs length >= 3")
         if self.name == "clique-of-stars":
@@ -63,8 +67,8 @@ class CanonicalKind:
 
 
 def canonical_state(kind: CanonicalKind, n: int) -> StrategyVector:
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
+    if type(n) is not int or n < 2:
+        raise ValueError(f"n must be an integer >= 2, got {n!r}")
     buys = [set() for _ in range(n)]
     if kind.name == "empty":
         pass

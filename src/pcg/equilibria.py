@@ -175,8 +175,7 @@ class _DirectScan:
             total += dist * k
             reached += k
             seen |= frontier
-        sp = self.sp
-        return sp.alpha * targets_mask.bit_count() + sp.scale * total + sp.penalty(n - reached)
+        return self.sp.cost(targets_mask.bit_count(), total, n - reached)
 
     def current_cost(self, player: int):
         """Scaled cost of the player's own strategy."""
@@ -318,7 +317,7 @@ def is_strong(
     guard(what, _coalition_work(n, size_cap), "deviation graphs", COALITION_WORK_LIMIT)
 
     sp = ScaledParams(params)
-    L, A = sp.scale, sp.alpha
+    A = sp.alpha
     masks = state.masks()
     smask = [star_mask(n, i, masks[i]) for i in range(n)]
     full = 0
@@ -328,10 +327,7 @@ def is_strong(
 
     rows = functools.cache(graph_rows)
     cur_rows = rows(full, n)
-    cur = [
-        A * masks[i].bit_count() + L * cur_rows[i][0] + sp.penalty(cur_rows[i][1])
-        for i in range(n)
-    ]
+    cur = [sp.cost(masks[i].bit_count(), *cur_rows[i]) for i in range(n)]
 
     def can_buy(c, base):
         """Most edges a member can buy on top of ``base`` and still pay below
@@ -340,12 +336,11 @@ def is_strong(
             return -1
         return INFINITE if c == INFINITE else (c - base + A - 1) // A - 1
 
-    # Degree floor: a neighbour costs L and anyone else at least min(2L, beta),
-    # so a member of degree d in the deviation graph pays at least floor[d]
-    # before buying anything, and can buy at most budget[v][d] edges and still
-    # gain.
-    far = min(2 * L, sp.beta)
-    floor = [L * d + (n - 1 - d) * far for d in range(n)]
+    # Degree floor: a neighbour is at distance 1 and anyone else at distance 2
+    # or unreachable, whichever costs less, so a member of degree d in the
+    # deviation graph pays at least floor[d] before buying anything, and can
+    # buy at most budget[v][d] edges and still gain.
+    floor = [min(sp.cost(0, 2 * n - 2 - d, 0), sp.cost(0, d, n - 1 - d)) for d in range(n)]
     budget = [[can_buy(c, f) for f in floor] for c in cur]
 
     def budget_sum(coalition, g: int):
@@ -379,7 +374,7 @@ def is_strong(
                 if room is None or added.bit_count() > room:
                     continue
                 r = rows(g, n)
-                caps = {m: can_buy(cur[m], L * r[m][0] + sp.penalty(r[m][1])) for m in coalition}
+                caps = {m: can_buy(cur[m], sp.cost(0, *r[m])) for m in coalition}
                 edges = edges_of_mask(added, n)
                 candidates = [tuple(v for v in e if v in inside) for e in edges]
                 assignment = _match_edges(candidates, caps)
@@ -388,12 +383,7 @@ def is_strong(
                 new_masks = {member: 0 for member in coalition}
                 for (a, b), owner in zip(edges, assignment):
                     new_masks[owner] |= 1 << (b if owner == a else a)
-                new_costs = []
-                for member in coalition:
-                    ds, miss = r[member]
-                    new_costs.append(
-                        sp.to_cost(A * new_masks[member].bit_count() + L * ds + sp.penalty(miss))
-                    )
+                new_costs = [sp.to_cost(sp.cost(new_masks[m].bit_count(), *r[m])) for m in coalition]
                 witness = CoalitionDeviation(
                     players=coalition,
                     old_strategies=tuple(state[m] for m in coalition),
@@ -482,13 +472,7 @@ class _Engine:
         dist_sums, missing = structure_table(n)
         self.missing = missing
         self.graph_count = graphs = 1 << pair_count(n)
-        beta = sp.beta
-        scale = sp.scale
-        R = [0] * (graphs * n)
-        for idx in range(graphs * n):
-            miss = missing[idx]
-            R[idx] = scale * dist_sums[idx] + (beta * miss if miss else 0)
-        self.R = R
+        self.R = R = [sp.cost(0, ds, miss) for ds, miss in zip(dist_sums, missing)]
         # indexed by target mask
         self.star_masks = [[star_mask(n, i, t) for t in range(1 << n)] for i in range(n)]
         alpha = sp.alpha
@@ -504,8 +488,8 @@ class _Engine:
                         b[h] = b[h | bit] + alpha
             self.best.append(b)
 
-    def scan_graphs(self, lo: int, hi: int, cap=INFINITE) -> list:
-        """Nash states whose edge mask lies in [lo, hi), unsorted.
+    def scan_graphs(self, cap=INFINITE) -> list:
+        """Nash states of every graph, unsorted.
 
         Each hit is (sort key, owned target masks, scaled social cost,
         disconnected); the last two are computed once per graph and shared by
@@ -535,7 +519,7 @@ class _Engine:
                 owned[i] = t
                 assign(i + 1, key | t << shift[i])
 
-        for g in range(lo, hi):
+        for g in range(self.graph_count):
             nbrs = adjacency_masks(g, n)
             gn = g * n
             passing = []  # per player: passing owned sets, keyed by their part below the player
@@ -585,7 +569,10 @@ def social_optimum_bruteforce(params: GameParams) -> OptimumResult:
     empty graph when it participates in the tie.  Up to n = 6 it scans the
     signatures, built from the cached structure table (2.6 ms at n = 5, against
     11.4 ms from ``graph_rows``); n = 7 has no table and scans raw graphs, 24.9 s
-    against 29.0 s for a signature loop over ``graph_rows`` (2-vCPU host).
+    against 29.0 s for a signature loop over ``graph_rows`` (2-vCPU host).  The
+    raw loop builds its rows by hand: calling ``graph_rows`` instead took a
+    median 6.14 s of CPU time against 5.76 s (+6.5%) over the first 2^19 graphs
+    at n = 7, faster in 1 of 4 alternating rounds.
     """
     n = params.n
     max_n = max(k for k in range(2, n + 1) if 1 << pair_count(k) <= OPTIMUM_BUDGET)
@@ -596,7 +583,7 @@ def social_optimum_bruteforce(params: GameParams) -> OptimumResult:
     best_mask = None
     if n <= 6:
         for (m, dist_total, miss_total), mask in graph_signatures(n).items():
-            cost = sp.alpha * m + sp.scale * dist_total + sp.penalty(miss_total)
+            cost = sp.cost(m, dist_total, miss_total)
             if best is None or cost < best or (cost == best and mask < best_mask):
                 best, best_mask = cost, mask
     else:
@@ -608,7 +595,7 @@ def social_optimum_bruteforce(params: GameParams) -> OptimumResult:
                 ds, miss = bfs_row(adj, v, n)
                 dist_total += ds
                 miss_total += miss
-            cost = sp.alpha * mask.bit_count() + sp.scale * dist_total + sp.penalty(miss_total)
+            cost = sp.cost(mask.bit_count(), dist_total, miss_total)
             if best is None or cost < best:
                 best, best_mask = cost, mask
     return OptimumResult(n=n, cost=sp.to_cost(best), edges=edges_of_mask(best_mask, n))
@@ -677,7 +664,7 @@ def enumerate_equilibria(
     guard(what, (n << e) * 3 ** (n - 1), "owned-set checks", ENUMERATION_BUDGET * factor)
 
     engine = _Engine(params)
-    hits = engine.scan_graphs(0, engine.graph_count, STATE_BUDGET)
+    hits = engine.scan_graphs(STATE_BUDGET)
     k = len(hits)
     guard(f"enumeration at n = {n} keeps every state it finds, and its scan stopped at", k, "Nash states", STATE_BUDGET)
     hits.sort()

@@ -65,15 +65,26 @@ class OptimumClass:
         return tuple(m.value for m in self)
 
 
+def _empty_cost(k: int, beta) -> Cost:
+    """Social cost of k isolated players: each pays beta for each of the other k - 1."""
+    if k < 2:
+        return Fraction(0)
+    return INFINITE if is_infinite(beta) else Fraction(beta) * k * (k - 1)
+
+
+def _star_cost(k: int, alpha) -> Fraction:
+    """Social cost of a star on k players: k - 1 edges, and leaf distances 1 and 2."""
+    return (k - 1) * (alpha + 2 * k - 2)
+
+
 def canonical_costs(params: GameParams) -> dict:
     """Exact social costs of the empty graph, complete graph, and star."""
-    n, a, b = params.n, params.alpha, params.beta
+    n, a = params.n, params.alpha
     pairs = n * (n - 1) // 2
-    empty = INFINITE if params.is_ncg else Fraction(b) * n * (n - 1)
     return {
-        CanonicalGraph.EMPTY: empty,
+        CanonicalGraph.EMPTY: _empty_cost(n, params.beta),
         CanonicalGraph.COMPLETE: pairs * (a + 2),
-        CanonicalGraph.STAR: (n - 1) * (a + 2 * n - 2),
+        CanonicalGraph.STAR: _star_cost(n, a),
     }
 
 
@@ -249,10 +260,7 @@ def component_cost_lower_bound(n_c: int, m_c: int, alpha, beta) -> ComponentCost
     if not 0 <= m_c <= n_c * (n_c - 1) // 2:
         raise ValueError(f"edge count {m_c} impossible for {n_c} vertices")
     value = 2 * n_c * (n_c - 1) + (a - 2) * m_c
-    if n_c <= 1:
-        chained: Cost = Fraction(0)
-    else:
-        chained = INFINITE if is_infinite(b) else Fraction(b) * n_c * (n_c - 1)
+    chained = _empty_cost(n_c, b)
     applicable = (
         m_c >= n_c - 1
         and a >= 2
@@ -333,7 +341,7 @@ def analytic_poa_bound(params: GameParams) -> PoaBound:
     if params.is_ncg or a < b - 1:
         return _ncg_reference_band(n, a)
 
-    ratio = Fraction(b) * n * (n - 1) / Fraction(opt.cost)
+    ratio = _empty_cost(n, b) / Fraction(opt.cost)
     t_log = 12 * n * _log(n)
 
     if CanonicalGraph.COMPLETE in opt:
@@ -439,7 +447,7 @@ def compo_poa_decomposition(state: StrategyVector, params: GameParams) -> Decomp
         raise ValueError("state is connected; the decomposition covers disconnected states")
     graph = induce_graph(state)
     dist = all_pairs_distances(graph)
-    penalty_term = Fraction(b) * n / (a + 2 * (n - 1))
+    penalty_term = _empty_cost(n, b) / _star_cost(n, a)
     component_term = Fraction(0)
     for comp in decomp.nonsingleton():
         verts = sorted(comp.vertices)
@@ -447,13 +455,11 @@ def compo_poa_decomposition(state: StrategyVector, params: GameParams) -> Decomp
             dist.distance(u, v) for u in verts for v in verts if u != v
         )
         cost_c = a * comp.edge_count + internal
-        star_c = (comp.size - 1) * (a + 2 * comp.size - 2)
-        ratio = Fraction(cost_c) / star_c
+        ratio = Fraction(cost_c) / _star_cost(comp.size, a)
         if ratio > component_term:
             component_term = ratio
     bound = penalty_term + component_term
-    star_full = (n - 1) * (a + 2 * n - 2)
-    actual = Fraction(social_cost(state, params)) / star_full
+    actual = Fraction(social_cost(state, params)) / _star_cost(n, a)
     return DecompositionBound(
         penalty_term=penalty_term,
         component_term=component_term,

@@ -85,6 +85,21 @@ def test_kind_grammar_errors():
         CanonicalKind.parse("pentagon")
 
 
+def test_kind_fields_and_n_must_be_integers():
+    # a float or a bool is refused before range() or the player count can see it
+    for kind, field, value in (
+        (dict(name="cycle", length=3.0), "length", "3.0"),
+        (dict(name="clique-of-stars", k=3.0, l=1), "k", "3.0"),
+        (dict(name="clique-of-stars", k=3, l=1.5), "l", "1.5"),
+        (dict(name="cycle", length=True), "length", "True"),
+    ):
+        with pytest.raises(ValueError, match=f"^{field} must be an integer, got {value}$"):
+            CanonicalKind(**kind)
+    for n in (2.5, 4.0, True):
+        with pytest.raises(ValueError, match=f"^n must be an integer >= 2, got {n}$"):
+            canonical_state(CanonicalKind("empty"), n)
+
+
 def test_center_out_of_range():
     for center in (7, -1, True):
         with pytest.raises(ValueError, match=f"^center {center} out of range for n=4$"):

@@ -495,9 +495,9 @@ README_GRID = [
 )
 def test_scan_hits_equal_the_memoised_search(n, alpha, beta):
     engine = _Engine(GameParams(n, alpha, beta))
-    hits = sorted(engine.scan_graphs(0, engine.graph_count))
+    hits = sorted(engine.scan_graphs())
     engine.best = [MemoisedBestAlternatives(engine, i) for i in range(n)]
-    assert sorted(engine.scan_graphs(0, engine.graph_count)) == hits
+    assert sorted(engine.scan_graphs()) == hits
 
 
 @pytest.mark.parametrize("n", range(3, 7))
