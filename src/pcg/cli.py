@@ -104,7 +104,11 @@ def _params_of(args) -> GameParams:
     return GameParams(n=args.n, alpha=args.alpha, beta=args.beta)
 
 
-def _load_state(args):
+def _load_state(args, *ignored):
+    """Parse the ``--state`` file, refusing each option in ``ignored`` that was given: the file sets it."""
+    given = "/".join("--" + name.replace("_", "-") for name in ignored if getattr(args, name) is not None)
+    if given:
+        raise ValueError(f"--state and {given} are mutually exclusive")
     with open(args.state, "rb") as handle:
         return parse_state(handle)
 
@@ -306,7 +310,7 @@ def _render_evaluation(evaluation) -> list:
 
 def _cmd_bounds(args) -> int:
     if args.state is not None:
-        state, params = _load_state(args)
+        state, params = _load_state(args, "n", "alpha", "beta", "min_size", "min_diameter")
         decomp = components(state)
         graph = induce_graph(state)
         nonsingleton = decomp.nonsingleton()
@@ -363,7 +367,7 @@ def _cmd_dynamics(args) -> int:
         return 0
     if args.state is None:
         raise ValueError("dynamics needs --state (or --cycle-search with --n/--alpha/--beta)")
-    state, params = _load_state(args)
+    state, params = _load_state(args, "n", "alpha", "beta")
     policy = DynamicsPolicy(
         move_rule=MoveRule(args.policy),
         order=PlayerOrder(args.order),

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .game import InducedGraph, StrategyVector, as_integer, check_player, graph_components
+from .game import InducedGraph, StrategyVector, as_integer, check_int, graph_components
 
 KIND_NAMES = ("empty", "complete", "center-star", "periphery-star", "cycle", "clique-of-stars")
 
@@ -40,8 +40,8 @@ class CanonicalKind:
             raise ValueError(f"unknown construction kind {self.name!r}; expected one of {KIND_NAMES}")
         for field in ("length", "k", "l"):
             value = getattr(self, field)
-            if value is not None and type(value) is not int:  # a float or a bool is not one
-                raise ValueError(f"{field} must be an integer, got {value!r}")
+            if value is not None:
+                check_int(value, field)
         if self.name == "cycle" and (self.length is None or self.length < 3):
             raise ValueError("cycle needs length >= 3")
         if self.name == "clique-of-stars":
@@ -67,8 +67,7 @@ class CanonicalKind:
 
 
 def canonical_state(kind: CanonicalKind, n: int) -> StrategyVector:
-    if type(n) is not int or n < 2:
-        raise ValueError(f"n must be an integer >= 2, got {n!r}")
+    check_int(n, "n", 2)
     buys = [set() for _ in range(n)]
     if kind.name == "empty":
         pass
@@ -76,8 +75,7 @@ def canonical_state(kind: CanonicalKind, n: int) -> StrategyVector:
         for i in range(n):
             buys[i] = set(range(i + 1, n))
     elif kind.name in ("center-star", "periphery-star"):
-        center = kind.center
-        check_player(center, n, "center")
+        center = check_int(kind.center, "center", 0, n - 1)
         if kind.name == "center-star":
             buys[center] = set(range(n)) - {center}
         else:

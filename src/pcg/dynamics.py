@@ -21,7 +21,7 @@ from enum import Enum
 from typing import List, Optional, Tuple, Union
 
 from .equilibria import _DirectScan
-from .game import GameParams, StrategyVector, cost_delta, mask_to_set, random_state
+from .game import GameParams, StrategyVector, check_int, cost_delta, mask_to_set, random_state
 from .stateio import serialize_state, state_writer
 
 
@@ -52,10 +52,8 @@ class DynamicsPolicy:
     seed: int = 0
 
     def __post_init__(self):
-        if type(self.max_steps) is not int or self.max_steps < 1:
-            raise ValueError(f"max_steps must be >= 1, got {self.max_steps}")
-        if type(self.seed) is not int or self.seed < 0:
-            raise ValueError(f"seed must be nonnegative, got {self.seed}")
+        check_int(self.max_steps, "max_steps", 1)
+        check_int(self.seed, "seed", 0)
 
 
 @dataclass(frozen=True)
@@ -234,8 +232,7 @@ def cycle_search(
     Trials are mutually independent, so they could run concurrently; the
     lowest-trial rule keeps the result identical either way.
     """
-    if type(trials) is not int or trials < 0:
-        raise ValueError(f"trials must be nonnegative, got {trials}")
+    check_int(trials, "trials", 0)
     policy = DynamicsPolicy(
         move_rule=MoveRule.FIRST_IMPROVING,
         order=PlayerOrder.ROUND_ROBIN,

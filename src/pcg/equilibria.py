@@ -52,7 +52,7 @@ from .bitgraph import (
     submasks_ascending,
 )
 from .game import (
-    INFINITE, Cost, GameParams, GuardExceeded, StrategyVector, check_player, check_players, guard, mask_to_set
+    INFINITE, Cost, GameParams, GuardExceeded, StrategyVector, check_int, check_players, guard, mask_to_set
 )
 
 # Work budgets, each checked by game.guard against the search's own estimate
@@ -212,7 +212,7 @@ class _DirectScan:
 def best_response(state: StrategyVector, player: int, params: GameParams) -> BestResponse:
     """Exact minimum cost for ``player`` against the others, with all minimizers."""
     scan = _DirectScan(state, params)
-    check_player(player, params.n)
+    check_int(player, "player", 0, params.n - 1)
     best, mins = scan.minimizers(player)
     return BestResponse(scan.sp.to_cost(best), tuple(mask_to_set(m) for m in mins))
 
@@ -287,10 +287,7 @@ def _match_edges(candidates: Sequence[tuple], caps: dict) -> Optional[list]:
 
 def check_max_coalition(n: int, max_coalition: Optional[int]) -> int:
     """The largest coalition searched at n players; refuses a cap outside 1..n."""
-    size_cap = n if max_coalition is None else max_coalition
-    if type(size_cap) is not int or not 1 <= size_cap <= n:
-        raise ValueError(f"max_coalition must be in 1..{n}, got {max_coalition}")
-    return size_cap
+    return check_int(n if max_coalition is None else max_coalition, "max_coalition", 1, n)
 
 
 def check_enumeration(n: int, mode: str, max_coalition: Optional[int]) -> None:
@@ -575,7 +572,7 @@ def social_optimum_bruteforce(params: GameParams) -> OptimumResult:
     at n = 7, faster in 1 of 4 alternating rounds.
     """
     n = params.n
-    max_n = max(k for k in range(2, n + 1) if 1 << pair_count(k) <= OPTIMUM_BUDGET)
+    max_n = next(k for k in itertools.count(2) if 1 << pair_count(k + 1) > OPTIMUM_BUDGET)
     what = f"optimum brute force limited to n <= {max_n}, got {n}: 2^C({n},2) = 2^{pair_count(n)} graphs, or"
     guard(what, 1 << pair_count(n), "graphs", OPTIMUM_BUDGET)
     sp = ScaledParams(params)

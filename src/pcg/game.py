@@ -87,6 +87,17 @@ def as_beta(value) -> Cost:
     return beta
 
 
+def check_int(value, name: str, low: Optional[int] = None, high: Optional[int] = None) -> int:
+    """``value`` when it is an exact ``int`` in ``low..high``, either end open; a float or a bool is refused."""
+    if type(value) is not int or low is not None and value < low or high is not None and value > high:
+        if high is None:
+            bound = "" if low is None else f" >= {low}"
+        else:
+            bound = f" <= {high}" if low is None else f" in {low}..{high}"
+        raise ValueError(f"{name} must be an integer{bound}, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class GameParams:
     """Population size and prices.  Rejects n < 2, alpha <= 0 and beta <= 1."""
@@ -96,8 +107,7 @@ class GameParams:
     beta: Cost
 
     def __post_init__(self):
-        if type(self.n) is not int or self.n < 2:
-            raise ValueError(f"n must be an integer >= 2, got {self.n!r}")
+        check_int(self.n, "n", 2)
         object.__setattr__(self, "alpha", as_alpha(self.alpha))
         object.__setattr__(self, "beta", as_beta(self.beta))
 
@@ -123,12 +133,6 @@ def check_targets(player: int, targets: frozenset, n: int) -> None:
             raise ValueError(f"player {player}: target {j!r} out of range 0..{n - 1}")
         if j == player:
             raise ValueError(f"player {player} cannot buy a link to itself")
-
-
-def check_player(player: int, n: int, what: str = "player") -> None:
-    """Refuse a ``player`` that is not an ``int`` in 0..n-1; a bool is refused too."""
-    if type(player) is not int or not 0 <= player < n:
-        raise ValueError(f"{what} {player} out of range for n={n}")
 
 
 @dataclass(frozen=True)
@@ -168,8 +172,7 @@ class StrategyVector:
         for i in range(n):
             table = {}
             for mask in {row[i] for row in rows}:
-                if type(mask) is not int or mask < 0:
-                    raise ValueError(f"player {i}: target mask {mask!r} is not a non-negative integer")
+                check_int(mask, f"player {i}: target mask", 0)
                 targets = mask_to_set(mask)
                 check_targets(i, targets, n)
                 table[mask] = targets
@@ -191,7 +194,7 @@ class StrategyVector:
         return self.strategies[i]
 
     def replace(self, player: int, new_strategy: Iterable[int]) -> "StrategyVector":
-        check_player(player, self.n)
+        check_int(player, "player", 0, self.n - 1)
         parts = list(self.strategies)
         parts[player] = frozenset(new_strategy)
         return StrategyVector(tuple(parts))
@@ -293,9 +296,14 @@ class GuardExceeded(RuntimeError):
 
 
 def guard(what: str, estimate: int, unit: str, budget: int) -> None:
-    """Every refusal: ``{what} {estimate} {unit}, over the budget of {budget}`` when estimate > budget."""
+    """Every refusal: ``{what} {estimate} {unit}, over the budget of {budget}`` when estimate > budget.
+
+    An estimate of more than 1,000 bits is shown as ``at least 2^k``: Python
+    refuses to print an int of more than 4,300 digits.
+    """
     if estimate > budget:
-        raise GuardExceeded(f"{what} {estimate} {unit}, over the budget of {budget}")
+        shown = estimate if estimate.bit_length() <= 1000 else f"at least 2^{estimate.bit_length() - 1}"
+        raise GuardExceeded(f"{what} {shown} {unit}, over the budget of {budget}")
 
 
 def _penalty(beta: Cost, missing: int) -> Cost:
@@ -306,7 +314,7 @@ def _penalty(beta: Cost, missing: int) -> Cost:
 def individual_cost(state: StrategyVector, player: int, params: GameParams) -> CostBreakdown:
     """alpha per bought link + distance to every reachable player + beta per unreachable one."""
     check_players(state, params)
-    check_player(player, params.n)
+    check_int(player, "player", 0, params.n - 1)
     graph = induce_graph(state)
     row = _bfs_row(graph.adjacency(), player, state.n)
     finite = sum(d for d in row if d)

@@ -3,9 +3,9 @@ anarchy bounds.
 
 Everything with an exact closed form is evaluated in rational arithmetic so
 region boundaries are decided without rounding.  The two logarithmic guards
-(the 12*n*log(n) edge-cost cap and the sqrt(n log n) penalty cap) do not pin
-a logarithm base on their own; BOUND_LOG_BASE fixes the natural log, and the
-guards are treated as region filters only, never as exact thresholds.
+(the 12*n*log(n) edge-cost cap and the sqrt(n log n) penalty cap) take the
+natural log, since the paper fixes no base, and are treated as region
+filters only, never as exact thresholds.
 
 Asymptotic anarchy bounds are reported as symbolic descriptor strings; a
 numeric value is attached only where a closed-form constant exists.
@@ -28,19 +28,13 @@ from .game import (
     all_pairs_distances,
     as_alpha,
     as_beta,
+    check_int,
     check_players,
     components,
     induce_graph,
     is_infinite,
     social_cost,
 )
-
-BOUND_LOG_BASE = math.e
-
-
-def _log(x) -> float:
-    return math.log(float(x), BOUND_LOG_BASE)
-
 
 class CanonicalGraph(Enum):
     EMPTY = "empty"
@@ -198,29 +192,20 @@ def _minus_one(b):
     return b if is_infinite(b) else b - 1
 
 
-def _check_ints(**counts) -> None:
-    """Refuse a size or count whose type is not exactly int (a bool or a float is not one)."""
-    for name, value in counts.items():
-        if type(value) is not int:
-            raise ValueError(f"{name} must be an integer, got {value!r}")
-
-
 def nonempty_ne_bounds(n: int, n_l: int, diam_l: int, alpha, beta) -> BoundEvaluation:
     """The four necessary bounds for a non-empty disconnected equilibrium.
 
     n_l is the minimum size and diam_l the minimum diameter over non-singleton
-    components.  Bounds 1 and 3 involve logarithms (see BOUND_LOG_BASE); bound
+    components.  Bounds 1 and 3 involve logarithms (natural log); bound
     4 applies only for n > 6 and is vacuously satisfied otherwise.
     """
     a, b = as_alpha(alpha), as_beta(beta)
-    _check_ints(n=n, n_l=n_l, diam_l=diam_l)
-    if n_l < 2:
-        raise ValueError(f"n_l is the size of a non-singleton component, got {n_l}")
-    if diam_l < 1:
-        raise ValueError(f"diam_l must be >= 1, got {diam_l}")
+    check_int(n_l, "n_l", 2)
+    check_int(diam_l, "diam_l", 1)
+    check_int(n, "n")
     if n < n_l:
         raise ValueError(f"n={n} smaller than component size n_l={n_l}")
-    log_nl = _log(n_l)
+    log_nl = math.log(n_l)
     cap1 = 12 * n_l * log_nl
     cap2 = 1 + 2 * diam_l
     cap3 = 1 + 14 * math.sqrt(n_l * log_nl)
@@ -254,11 +239,8 @@ class ComponentCostBound:
 
 def component_cost_lower_bound(n_c: int, m_c: int, alpha, beta) -> ComponentCostBound:
     a, b = as_alpha(alpha), as_beta(beta)
-    _check_ints(n_c=n_c, m_c=m_c)
-    if n_c < 1:
-        raise ValueError(f"component size must be >= 1, got {n_c}")
-    if not 0 <= m_c <= n_c * (n_c - 1) // 2:
-        raise ValueError(f"edge count {m_c} impossible for {n_c} vertices")
+    check_int(n_c, "n_c", 1)
+    check_int(m_c, "m_c", 0, n_c * (n_c - 1) // 2)
     value = 2 * n_c * (n_c - 1) + (a - 2) * m_c
     chained = _empty_cost(n_c, b)
     applicable = (
@@ -300,7 +282,7 @@ def _ncg_reference_band(n: int, a: Fraction) -> PoaBound:
     """
     prefix = "equilibria coincide with the infinite-penalty game: "
     half_n = Fraction(n, 2)
-    t_log = 12 * n * _log(n)
+    t_log = 12 * n * math.log(n)
     if a < 1:
         return PoaBound(prefix + "alpha < 1", "exact", Fraction(1), None, None)
     if a < 2:
@@ -342,7 +324,7 @@ def analytic_poa_bound(params: GameParams) -> PoaBound:
         return _ncg_reference_band(n, a)
 
     ratio = _empty_cost(n, b) / Fraction(opt.cost)
-    t_log = 12 * n * _log(n)
+    t_log = 12 * n * math.log(n)
 
     if CanonicalGraph.COMPLETE in opt:
         if a < 1:

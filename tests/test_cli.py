@@ -266,6 +266,25 @@ def test_dynamics_flag_conflicts(tmp_path, capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize(
+    "command, flags",
+    [
+        ("bounds", ["--alpha", "100"]),
+        ("bounds", ["--n", "9"]),
+        ("bounds", ["--min-size", "3"]),
+        ("bounds", ["--min-diameter", "1"]),
+        ("dynamics", ["--beta", "7"]),
+        ("dynamics", ["--n", "9", "--alpha", "100"]),
+    ],
+)
+def test_state_refuses_the_flags_it_would_ignore(tmp_path, capsys, command, flags):
+    # the file sets n, alpha and beta; these runs used to report at the file's values in silence
+    path = write_star(tmp_path)
+    code, out, err = run_cli(capsys, command, "--state", str(path), *flags)
+    assert code == 1 and out == ""
+    assert err.startswith("error: --state and --") and "are mutually exclusive" in err
+
+
 # -- sweep -----------------------------------------------------------------------------------
 
 
@@ -330,16 +349,16 @@ def test_sweep_spec_refuses_bool_prices():
 
 
 def test_sweep_spec_max_coalition_checked_at_every_n():
-    with pytest.raises(ValueError, match="max_coalition must be in 1..3, got 0"):
+    with pytest.raises(ValueError, match="max_coalition must be an integer in 1..3, got 0"):
         SweepSpec(ns=[3], alphas=[F(1)], betas=[F(2)], max_coalition=0)
-    with pytest.raises(ValueError, match="max_coalition must be in 1..3, got 4"):
+    with pytest.raises(ValueError, match="max_coalition must be an integer in 1..3, got 4"):
         SweepSpec(ns=[4, 3], alphas=[F(1)], betas=[F(2)], max_coalition=4)
     assert SweepSpec(ns=[3, 4], alphas=[F(1)], betas=[F(2)], max_coalition=3).max_coalition == 3
 
 
 def test_sweep_spec_refuses_bool_options():
     # True == 1, so without a type check this ran singleton coalitions
-    with pytest.raises(ValueError, match="max_coalition must be in 1..3, got True"):
+    with pytest.raises(ValueError, match="max_coalition must be an integer in 1..3, got True"):
         SweepSpec(ns=[3], alphas=[F(1)], betas=[F(2)], mode="strong", max_coalition=True)
 
 
@@ -402,7 +421,7 @@ def test_max_coalition_out_of_range_exits_1(capsys, argv):
     command, *flags = argv
     code, out, err = run_cli(capsys, command, "--n", "3", "--alpha", "1", "--beta", "2", *flags)
     assert code == 1 and out == ""
-    assert f"max_coalition must be in 1..3, got {flags[1]}" in err
+    assert f"max_coalition must be an integer in 1..3, got {flags[1]}" in err
 
 
 def test_guard_exit_code(capsys):
@@ -435,6 +454,31 @@ def test_optimum_n8_exit_code(capsys, monkeypatch):
     code, out, err = run_cli(capsys, "optimum", "--n", "8", "--alpha", "1", "--beta", "2")
     assert code == 2 and out == ""
     assert "2^C(8,2) = 2^28 graphs" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["optimum", "--n", "200", "--alpha", "1", "--beta", "3"],
+        ["enumerate", "--n", "200", "--alpha", "1", "--beta", "3"],
+        ["check-strong", "--state", "200"],
+        ["check-nash", "--state", "20000"],
+    ],
+    ids=["optimum", "enumerate", "check-strong", "check-nash"],
+)
+def test_guard_refusals_exit_2_at_large_n(tmp_path, capsys, argv):
+    # estimates of more than 4,300 digits used to end in exit 1 from str()
+    if argv[1] == "--state":
+        argv = [argv[0], "--state", str(write_star(tmp_path, n=argv[2], kind="empty"))]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("guard: ") and " at least 2^" in err
+
+
+def test_sweep_writes_skipped_guard_at_large_n(capsys):
+    code, out, _ = run_cli(capsys, "sweep", "--n", "4200", "--alpha", "1", "--beta", "3")
+    assert code == 0 and out.splitlines()[1].startswith("4200,1,3,nash,")
+    assert out.splitlines()[1].endswith(",skipped:guard") and len(out.splitlines()) == 2
 
 
 def test_non_ascii_or_exponent_rationals_exit_1(tmp_path, capsys):
@@ -477,7 +521,7 @@ def test_integer_options_take_a_sign_and_spaces(capsys):
     code, out, _ = run_cli(capsys, "construct", "--kind", "cycle:+3", "--n", " 4", "--alpha", "3", "--beta", "5/2")
     assert code == 0 and "buys 2 : 0" in out
     code, out, err = run_cli(capsys, "dynamics", "--cycle-search", "-1", "--n", "4", "--alpha", "3", "--beta", "2")
-    assert code == 1 and out == "" and "trials must be nonnegative, got -1" in err
+    assert code == 1 and out == "" and "trials must be an integer >= 0, got -1" in err
 
 
 def test_import_leaves_the_process_pool_unloaded():

@@ -102,7 +102,7 @@ def test_kind_fields_and_n_must_be_integers():
 
 def test_center_out_of_range():
     for center in (7, -1, True):
-        with pytest.raises(ValueError, match=f"^center {center} out of range for n=4$"):
+        with pytest.raises(ValueError, match=f"^center must be an integer in 0..3, got {center}$"):
             canonical_state(CanonicalKind(name="center-star", center=center), 4)
 
 

@@ -745,7 +745,7 @@ def test_max_coalition_refused_before_the_scan(monkeypatch):
     monkeypatch.setattr(_Engine, "scan_graphs", no_scan)
     for mode in ("nash", "strong"):
         for cap in (0, -1, 4):
-            with pytest.raises(ValueError, match=f"max_coalition must be in 1..3, got {cap}"):
+            with pytest.raises(ValueError, match=f"max_coalition must be an integer in 1..3, got {cap}"):
                 enumerate_equilibria(GameParams(3, F(1), F(2)), mode, max_coalition=cap)
 
 
@@ -777,14 +777,14 @@ def test_state_budget_refuses_every_mode_alike(monkeypatch):
 def test_bools_refused_as_integer_options():
     p = GameParams(3, F(1), F(2))
     state = canonical_state(CanonicalKind.parse("empty"), 3)
-    with pytest.raises(ValueError, match="max_coalition must be in 1..3, got True"):
+    with pytest.raises(ValueError, match="max_coalition must be an integer in 1..3, got True"):
         equilibria.check_max_coalition(3, True)
-    with pytest.raises(ValueError, match="max_coalition must be in 1..3, got True"):
+    with pytest.raises(ValueError, match="max_coalition must be an integer in 1..3, got True"):
         is_strong(state, p, max_coalition=True)
     for mode in ("nash", "strong"):
-        with pytest.raises(ValueError, match="max_coalition must be in 1..3, got True"):
+        with pytest.raises(ValueError, match="max_coalition must be an integer in 1..3, got True"):
             enumerate_equilibria(p, mode, max_coalition=True)
-        with pytest.raises(ValueError, match="max_coalition must be in 1..3, got True"):
+        with pytest.raises(ValueError, match="max_coalition must be an integer in 1..3, got True"):
             price_metrics(p, mode, max_coalition=True)
     assert equilibria.check_enumeration(3, "strong", 1) is None
 
@@ -794,9 +794,9 @@ def test_bools_refused_as_integer_options():
     [
         (
             lambda p, s: enumerate_equilibria(p, "strong", max_coalition=1.5),
-            "max_coalition must be in 1..3, got 1.5",
+            "max_coalition must be an integer in 1..3, got 1.5",
         ),
-        (lambda p, s: is_strong(s, p, max_coalition=2.5), "max_coalition must be in 1..3, got 2.5"),
+        (lambda p, s: is_strong(s, p, max_coalition=2.5), "max_coalition must be an integer in 1..3, got 2.5"),
     ],
     ids=["enumerate-max-coalition", "is-strong-max-coalition"],
 )
@@ -859,6 +859,15 @@ def test_every_guard_names_its_estimate_and_budget(monkeypatch, patch, call, est
         call()
     message = str(refused.value)
     assert f" {estimate} " in message and message.endswith(f", over the budget of {budget}")
+
+
+def test_optimum_limit_does_not_grow_with_n(monkeypatch):
+    # the limit n <= 7 used to be found by trying every k up to n: 10 s at n = 20,000
+    sizes = []
+    monkeypatch.setattr(equilibria, "pair_count", lambda k: sizes.append(k) or k * (k - 1) // 2)
+    with pytest.raises(GuardExceeded, match=r"limited to n <= 7, got 45: "):
+        social_optimum_bruteforce(GameParams(45, F(1), F(2)))
+    assert len(sizes) < 20
 
 
 def test_enumeration_refusal_names_the_override():

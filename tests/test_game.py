@@ -11,17 +11,20 @@ Core claims checked here:
 """
 
 import random
+import re
 from fractions import Fraction as F
 
 import pytest
 
 from pcg import theory
-from pcg.constructions import StructureLabel
-from pcg.equilibria import best_response
+from pcg.constructions import CanonicalKind, StructureLabel, canonical_state
+from pcg.dynamics import DynamicsPolicy, cycle_search
+from pcg.equilibria import best_response, check_max_coalition, enumerate_equilibria, is_strong
 from pcg.game import (
     INFINITE,
     RATIONAL_DIGITS,
     GameParams,
+    GuardExceeded,
     StrategyVector,
     all_pairs_distances,
     as_alpha,
@@ -29,8 +32,10 @@ from pcg.game import (
     as_integer,
     as_penalty,
     as_rational,
+    check_int,
     components,
     cost_delta,
+    guard,
     individual_cost,
     induce_graph,
     is_infinite,
@@ -227,7 +232,7 @@ def test_many_from_masks_refuses_bad_rows_like_the_constructor():
         with pytest.raises(ValueError) as many:
             StrategyVector.many_from_masks(3, [good, bad])
         assert str(many.value) == str(direct.value)
-    with pytest.raises(ValueError, match="player 1: target mask -1 is not a non-negative integer"):
+    with pytest.raises(ValueError, match="player 1: target mask must be an integer >= 0, got -1"):
         StrategyVector.many_from_masks(3, [(0, -1, 0)])
     with pytest.raises(ValueError, match="row has 2 target masks, expected 3"):
         StrategyVector.many_from_masks(3, [good, (0, 0)])
@@ -259,9 +264,79 @@ def test_player_index_checked_everywhere():
     ]
     for call in calls:
         for player in (3, 5, -1, True):
-            with pytest.raises(ValueError, match=f"^player {player} out of range for n=3$"):
+            with pytest.raises(ValueError, match=f"^player must be an integer in 0..2, got {player}$"):
                 call(player)
     assert individual_cost(s, 2, p).total == 4 and s.replace(2, {0})[2] == {0}
+
+
+S3, P3 = StrategyVector.empty(3), GameParams(3, F(1), F(2))
+
+# (call, low, high, message): every exact-integer argument, with its range at n = 3
+INTEGER_ARGUMENTS = {
+    "check_int-high-only": (lambda v: check_int(v, "x", None, 5), None, 5, "x must be an integer <= 5"),
+    "GameParams-n": (lambda v: GameParams(v, F(1), F(2)), 2, None, "n must be an integer >= 2"),
+    "many_from_masks": (
+        lambda v: StrategyVector.many_from_masks(3, [(v, 0, 0)]),
+        0,
+        None,
+        "player 0: target mask must be an integer >= 0",
+    ),
+    "replace": (lambda v: S3.replace(v, set()), 0, 2, "player must be an integer in 0..2"),
+    "individual_cost": (lambda v: individual_cost(S3, v, P3), 0, 2, "player must be an integer in 0..2"),
+    "cost_delta": (lambda v: cost_delta(S3, v, set(), P3), 0, 2, "player must be an integer in 0..2"),
+    "best_response": (lambda v: best_response(S3, v, P3), 0, 2, "player must be an integer in 0..2"),
+    "center": (
+        lambda v: canonical_state(CanonicalKind("center-star", center=v), 3), 0, 2, "center must be an integer in 0..2"
+    ),
+    "canonical_state-n": (lambda v: canonical_state(CanonicalKind("empty"), v), 2, None, "n must be an integer >= 2"),
+    "length": (lambda v: CanonicalKind("cycle", length=v), None, None, "length must be an integer"),
+    "k": (lambda v: CanonicalKind("clique-of-stars", k=v, l=1), None, None, "k must be an integer"),
+    "l": (lambda v: CanonicalKind("clique-of-stars", k=3, l=v), None, None, "l must be an integer"),
+    "check_max_coalition": (lambda v: check_max_coalition(3, v), 1, 3, "max_coalition must be an integer in 1..3"),
+    "is_strong": (lambda v: is_strong(S3, P3, max_coalition=v), 1, 3, "max_coalition must be an integer in 1..3"),
+    "enumerate_equilibria": (
+        lambda v: enumerate_equilibria(P3, "strong", max_coalition=v), 1, 3, "max_coalition must be an integer in 1..3"
+    ),
+    "max_steps": (lambda v: DynamicsPolicy(max_steps=v), 1, None, "max_steps must be an integer >= 1"),
+    "seed": (lambda v: DynamicsPolicy(seed=v), 0, None, "seed must be an integer >= 0"),
+    "trials": (lambda v: cycle_search(P3, trials=v, seed=0), 0, None, "trials must be an integer >= 0"),
+    "n_l": (lambda v: theory.nonempty_ne_bounds(9, v, 1, F(3), F(2)), 2, None, "n_l must be an integer >= 2"),
+    "diam_l": (lambda v: theory.nonempty_ne_bounds(9, 2, v, F(3), F(2)), 1, None, "diam_l must be an integer >= 1"),
+    "bounds-n": (lambda v: theory.nonempty_ne_bounds(v, 2, 1, F(3), F(2)), None, None, "n must be an integer"),
+    "n_c": (lambda v: theory.component_cost_lower_bound(v, 0, F(3), F(2)), 1, None, "n_c must be an integer >= 1"),
+    "m_c": (lambda v: theory.component_cost_lower_bound(3, v, F(3), F(2)), 0, 3, "m_c must be an integer in 0..3"),
+}
+
+
+@pytest.mark.parametrize("argument", INTEGER_ARGUMENTS)
+def test_every_integer_argument_admits_its_range_and_nothing_else(argument):
+    # both ends are admitted and one past either end is refused, so a < written as <= fails here
+    call, low, high, message = INTEGER_ARGUMENTS[argument]
+    admitted = [v for v in (low, high) if v is not None] or [3]
+    for value in admitted:
+        call(value)
+    refused = [low - 1] if low is not None else []
+    refused += [high + 1] if high is not None else []
+    for value in refused + [float(admitted[0]), True]:
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{message}, got {value!r}')}$"):
+            call(value)
+
+
+@pytest.mark.parametrize(
+    "estimate, shown",
+    [
+        ((1 << 1000) - 1, str((1 << 1000) - 1)),
+        (1 << 1000, "at least 2^1000"),
+        ((1 << 1001) - 1, "at least 2^1000"),
+        (10 ** 20000, "at least 2^66438"),
+    ],
+    ids=["1000-bits", "1001-bits", "1001-bits-max", "20001-digits"],
+)
+def test_guard_shows_a_huge_estimate_as_a_power_of_two(estimate, shown):
+    # str() refuses an int of more than 4,300 digits, which turned a refusal into exit 1
+    with pytest.raises(GuardExceeded) as refused:
+        guard("work", estimate, "steps", 7)
+    assert str(refused.value) == f"work {shown} steps, over the budget of 7"
 
 
 def test_integer_grammar_is_the_rational_grammar_without_q():

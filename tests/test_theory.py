@@ -212,9 +212,9 @@ def test_nonempty_bounds_input_validation():
 
 def test_nonempty_bounds_refuse_non_int_sizes():
     # True passed as diam_l used to be read as 1, and printed as diam_l=True
-    with pytest.raises(ValueError, match="diam_l must be an integer, got True"):
+    with pytest.raises(ValueError, match="diam_l must be an integer >= 1, got True"):
         nonempty_ne_bounds(5, 2, True, F(3), F(2))
-    with pytest.raises(ValueError, match="n_l must be an integer, got 2.0"):
+    with pytest.raises(ValueError, match="n_l must be an integer >= 2, got 2.0"):
         nonempty_ne_bounds(5, 2.0, 1, F(3), F(2))
 
 
@@ -233,11 +233,11 @@ def internal_cost(state, comp, alpha):
 
 def test_component_bound_refuses_non_int_counts():
     # a float size made value and chained_value floats: 8.5 and 7.5 at (2.5, 1)
-    with pytest.raises(ValueError, match="n_c must be an integer, got 2.5"):
+    with pytest.raises(ValueError, match="n_c must be an integer >= 1, got 2.5"):
         component_cost_lower_bound(2.5, 1, F(3), F(2))
-    with pytest.raises(ValueError, match="n_c must be an integer, got True"):
+    with pytest.raises(ValueError, match="n_c must be an integer >= 1, got True"):
         component_cost_lower_bound(True, 0, F(3), F(2))
-    with pytest.raises(ValueError, match="m_c must be an integer, got 1.0"):
+    with pytest.raises(ValueError, match="m_c must be an integer in 0..3, got 1.0"):
         component_cost_lower_bound(3, 1.0, F(3), F(2))
 
 
