@@ -10,8 +10,7 @@ avoiding Fraction overhead; :meth:`ScaledParams.cost` builds every one of them.
 correctly against ints.
 
 The per-n structure tables (the :func:`graph_rows` of every edge set) are
-cached, built once, and shared by equilibrium enumeration and brute-force
-optimum search.
+cached, built once, and serve equilibrium enumeration only.
 """
 
 from __future__ import annotations
@@ -24,6 +23,7 @@ from typing import Sequence
 from .game import Cost, GameParams, INFINITE, guard
 
 TABLE_BUDGET = 1 << 15  # graphs in a structure table: n <= 6
+OPTIMUM_BUDGET = 2 ** 21  # 2^C(n,2) graphs behind the optimum's signatures: n <= 7
 
 
 def pair_count(n: int) -> int:
@@ -121,20 +121,37 @@ def structure_table(n: int) -> tuple:
 def graph_signatures(n: int) -> dict:
     """Map (edge count, total distance, disconnected pair count) -> smallest edge mask.
 
-    Social cost depends on an edge set only through this signature, so the
-    optimum search scans signatures instead of all 2^C(n,2) graphs.
+    Social cost depends on an edge set only through this signature, which no
+    relabelling changes, so one graph per isomorphism class is measured (1,044
+    of the 2^21 at n = 7): each unseen mask, in ascending order, marks its class
+    seen by closing it under the n - 1 adjacent vertex swaps.
     """
-    dist_sums, missing = structure_table(n)
+    total = 1 << pair_count(n)
+    guard(f"graph signatures at n = {n} scan 2^C({n},2) =", total, "graphs", OPTIMUM_BUDGET)
+    swaps = []
+    for i in range(n - 1):
+        # vertices i <-> i + 1 swap bits (k, i), (k, i + 1) one apart and (i, k), (i + 1, k) d apart
+        low = sum(1 << pair_bit(n, k, i) for k in range(i))
+        high = sum(1 << pair_bit(n, i, k) for k in range(i + 2, n))
+        swaps.append((low, high, pair_bit(n, i + 1, n - 1) - pair_bit(n, i, n - 1)))
+    seen = bytearray(total)
     signatures: dict = {}
-    for g in range(1 << pair_count(n)):
-        base = g * n
-        sig = (
-            g.bit_count(),
-            sum(dist_sums[base + v] for v in range(n)),
-            sum(missing[base + v] for v in range(n)),
-        )
-        if sig not in signatures:
-            signatures[sig] = g
+    g = 0
+    while g >= 0:
+        seen[g] = 1
+        orbit = [g]
+        for m in orbit:
+            for low, high, d in swaps:
+                t = (m >> 1 ^ m) & low
+                s = m ^ (t | t << 1)
+                t = (s >> d ^ s) & high
+                s ^= t | t << d
+                if not seen[s]:
+                    seen[s] = 1
+                    orbit.append(s)
+        rows = graph_rows(g, n)
+        signatures.setdefault((g.bit_count(), sum(ds for ds, _ in rows), sum(miss for _, miss in rows)), g)
+        g = seen.find(0, g + 1)
     return signatures
 
 

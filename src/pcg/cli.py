@@ -104,11 +104,16 @@ def _params_of(args) -> GameParams:
     return GameParams(n=args.n, alpha=args.alpha, beta=args.beta)
 
 
-def _load_state(args, *ignored):
-    """Parse the ``--state`` file, refusing each option in ``ignored`` that was given: the file sets it."""
+def _refuse_given(args, flag, *ignored):
+    """Refuse each option in ``ignored`` that was given: ``flag`` sets or ignores it."""
     given = "/".join("--" + name.replace("_", "-") for name in ignored if getattr(args, name) is not None)
     if given:
-        raise ValueError(f"--state and {given} are mutually exclusive")
+        raise ValueError(f"{flag} and {given} are mutually exclusive")
+
+
+def _load_state(args, *ignored):
+    """Parse the ``--state`` file, refusing each option in ``ignored`` that was given: the file sets it."""
+    _refuse_given(args, "--state", *ignored)
     with open(args.state, "rb") as handle:
         return parse_state(handle)
 
@@ -350,8 +355,7 @@ def _cmd_bounds(args) -> int:
 
 def _cmd_dynamics(args) -> int:
     if args.cycle_search is not None:
-        if args.state is not None:
-            raise ValueError("--cycle-search and --state are mutually exclusive")
+        _refuse_given(args, "--cycle-search", "state", "policy", "order", "tie")
         if args.n is None or args.alpha is None or args.beta is None:
             raise ValueError("--cycle-search needs --n, --alpha and --beta")
         params = _params_of(args)
@@ -369,9 +373,9 @@ def _cmd_dynamics(args) -> int:
         raise ValueError("dynamics needs --state (or --cycle-search with --n/--alpha/--beta)")
     state, params = _load_state(args, "n", "alpha", "beta")
     policy = DynamicsPolicy(
-        move_rule=MoveRule(args.policy),
-        order=PlayerOrder(args.order),
-        tie_rule=TieRule(args.tie),
+        move_rule=MoveRule(args.policy or MoveRule.BEST_RESPONSE),
+        order=PlayerOrder(args.order or PlayerOrder.ROUND_ROBIN),
+        tie_rule=TieRule(args.tie or TieRule.PREFER_CURRENT),
         max_steps=args.max_steps,
         seed=args.seed,
     )
@@ -455,9 +459,9 @@ def build_parser() -> _Parser:
     sub = add("dynamics", _cmd_dynamics, "run response dynamics or search for cycles")
     sub.add_argument("--state", default=None, help="start state file")
     _params_args(sub, required=False)
-    sub.add_argument("--policy", choices=[r.value for r in MoveRule], default=MoveRule.BEST_RESPONSE.value)
-    sub.add_argument("--order", choices=[o.value for o in PlayerOrder], default=PlayerOrder.ROUND_ROBIN.value)
-    sub.add_argument("--tie", choices=[t.value for t in TieRule], default=TieRule.PREFER_CURRENT.value)
+    sub.add_argument("--policy", choices=[r.value for r in MoveRule], default=None)
+    sub.add_argument("--order", choices=[o.value for o in PlayerOrder], default=None)
+    sub.add_argument("--tie", choices=[t.value for t in TieRule], default=None)
     sub.add_argument("--seed", type=_arg(as_integer), default=0)
     sub.add_argument("--max-steps", type=_arg(as_integer), default=10_000)
     sub.add_argument("--cycle-search", type=_arg(as_integer), default=None, metavar="TRIALS")

@@ -39,9 +39,9 @@ from typing import Iterator, Optional, Sequence, Union
 
 from . import theory
 from .bitgraph import (
+    OPTIMUM_BUDGET,
     ScaledParams,
     adjacency_masks,
-    bfs_row,
     edges_of_mask,
     graph_rows,
     graph_signatures,
@@ -59,7 +59,6 @@ from .game import (
 BEST_RESPONSE_BUDGET = 16 * 2 ** 15  # n·2^(n-1) strategy costs: n <= 16
 ENUMERATION_BUDGET = 25_920  # n·2^(C(n,2)-n+1)·3^(n-1) owned-set checks: n <= 5
 OVERRIDE_FACTOR = 64  # override_guard's multiple of ENUMERATION_BUDGET: n <= 6
-OPTIMUM_BUDGET = 2 ** 21  # 2^C(n,2) graphs: n <= 7
 PERMUTATION_BUDGET = math.factorial(8)  # n! relabellings per canonical form: n <= 8
 COALITION_WORK_LIMIT = 5_000_000  # deviation graphs, summed over coalition sizes
 # Nash states an enumeration keeps: n = 5 has at most 3^C(5,2), as none buys an edge twice
@@ -560,41 +559,17 @@ class OptimumResult:
 
 
 def social_optimum_bruteforce(params: GameParams) -> OptimumResult:
-    """Exact minimum social cost over all 2^C(n,2) edge sets.
+    """Exact minimum social cost over all 2^C(n,2) edge sets, one per signature.
 
     Ties resolve to the smallest edge mask, so boundary parameters return the
-    empty graph when it participates in the tie.  Up to n = 6 it scans the
-    signatures, built from the cached structure table (2.6 ms at n = 5, against
-    11.4 ms from ``graph_rows``); n = 7 has no table and scans raw graphs, 24.9 s
-    against 29.0 s for a signature loop over ``graph_rows`` (2-vCPU host).  The
-    raw loop builds its rows by hand: calling ``graph_rows`` instead took a
-    median 6.14 s of CPU time against 5.76 s (+6.5%) over the first 2^19 graphs
-    at n = 7, faster in 1 of 4 alternating rounds.
+    empty graph when it participates in the tie.
     """
     n = params.n
     max_n = next(k for k in itertools.count(2) if 1 << pair_count(k + 1) > OPTIMUM_BUDGET)
     what = f"optimum brute force limited to n <= {max_n}, got {n}: 2^C({n},2) = 2^{pair_count(n)} graphs, or"
     guard(what, 1 << pair_count(n), "graphs", OPTIMUM_BUDGET)
     sp = ScaledParams(params)
-    best = None
-    best_mask = None
-    if n <= 6:
-        for (m, dist_total, miss_total), mask in graph_signatures(n).items():
-            cost = sp.cost(m, dist_total, miss_total)
-            if best is None or cost < best or (cost == best and mask < best_mask):
-                best, best_mask = cost, mask
-    else:
-        for mask in range(1 << pair_count(n)):
-            adj = adjacency_masks(mask, n)
-            dist_total = 0
-            miss_total = 0
-            for v in range(n):
-                ds, miss = bfs_row(adj, v, n)
-                dist_total += ds
-                miss_total += miss
-            cost = sp.cost(mask.bit_count(), dist_total, miss_total)
-            if best is None or cost < best:
-                best, best_mask = cost, mask
+    best, best_mask = min((sp.cost(*signature), mask) for signature, mask in graph_signatures(n).items())
     return OptimumResult(n=n, cost=sp.to_cost(best), edges=edges_of_mask(best_mask, n))
 
 

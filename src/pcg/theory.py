@@ -89,7 +89,7 @@ def social_optimum_class(params: GameParams) -> OptimumClass:
     for alpha <= min(2, 2 beta - 2), empty for alpha >= max(2 beta - 2,
     beta n - 2(n-1)), star in between, with boundary equalities yielding
     multi-member ties.  Brute force over all graphs confirms the minimum
-    (cross-checked in tests at n <= 6).
+    (cross-checked in tests at n <= 7).
     """
     costs = canonical_costs(params)
     low = min(costs.values())

@@ -128,8 +128,8 @@ def test_criterion_02_optimum_map():
     ]
     betas = [F(3, 2), F(2), F(5, 2), F(3), F(7, 2), F(4), F(9, 2), F(5)]
     total = 0
-    with verdict(2, "optimum map equals brute force at n=3..6, >= 200 points per n"):
-        for n in (3, 4, 5, 6):
+    with verdict(2, "optimum map equals brute force at n=3..7, >= 200 points per n"):
+        for n in (3, 4, 5, 6, 7):
             points = set()
             for b in betas:
                 # the two alpha-boundaries that depend on beta, plus alpha = 2

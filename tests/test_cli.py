@@ -267,6 +267,23 @@ def test_dynamics_flag_conflicts(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "flags, given",
+    [
+        (["--policy", "best"], "--policy"),
+        (["--order", "roundrobin"], "--order"),
+        (["--tie", "prefer-current"], "--tie"),
+        (["--order", "random", "--tie", "canonical-first", "--policy", "best"], "--policy/--order/--tie"),
+    ],
+)
+def test_cycle_search_refuses_the_flags_it_would_ignore(capsys, flags, given):
+    # cycle search always runs first-improving, round-robin, prefer-current dynamics
+    args = ["dynamics", "--cycle-search", "2", "--n", "4", "--alpha", "3", "--beta", "2", *flags]
+    code, out, err = run_cli(capsys, *args)
+    assert code == 1 and out == ""
+    assert err == f"error: --cycle-search and {given} are mutually exclusive\n"
+
+
+@pytest.mark.parametrize(
     "command, flags",
     [
         ("bounds", ["--alpha", "100"]),
@@ -450,7 +467,7 @@ def test_optimum_n8_exit_code(capsys, monkeypatch):
     def no_graph_scan(*args):
         raise AssertionError("the optimum guard admitted the graph loop")
 
-    monkeypatch.setattr(equilibria, "adjacency_masks", no_graph_scan)
+    monkeypatch.setattr(equilibria, "graph_signatures", no_graph_scan)
     code, out, err = run_cli(capsys, "optimum", "--n", "8", "--alpha", "1", "--beta", "2")
     assert code == 2 and out == ""
     assert "2^C(8,2) = 2^28 graphs" in err

@@ -6,7 +6,9 @@ Core claims:
   * enumeration agrees state-by-state with the single-state checker, is
     byte-stable across worker counts, and its strong mode returns a subset
     of the Nash set;
-  * the brute-force optimum matches a test-local naive scan over all graphs;
+  * the brute-force optimum matches a test-local naive scan over all graphs,
+    and its signatures, measured once per isomorphism class, match a test-local
+    scan of every graph;
   * every guard refuses work over its budget, and says the estimate and the budget.
 """
 
@@ -831,6 +833,7 @@ def test_guard_admits_its_budget_and_refuses_one_more():
         ),
         ({}, lambda: canonical_permutation_form(StrategyVector.empty(9)), 362_880, 40_320),
         ({}, lambda: bitgraph.structure_table(7), 2 ** 21, 2 ** 15),
+        ({}, lambda: bitgraph.graph_signatures(8), 2 ** 28, 2 ** 21),
         ({}, lambda: social_optimum_bruteforce(GameParams(8, F(1), F(2))), 2 ** 28, 2 ** 21),
         ({}, lambda: enumerate_equilibria(GameParams(6, F(1), F(2))), 1_492_992, 25_920),
         (
@@ -846,6 +849,7 @@ def test_guard_admits_its_budget_and_refuses_one_more():
         "coalitions",
         "canonical-form",
         "structure-table",
+        "graph-signatures",
         "optimum",
         "enumeration",
         "enumeration-override",
@@ -992,6 +996,40 @@ def naive_optimum_cost(params):
     return best
 
 
+def scanned_signatures(n):
+    """Every edge set's (edge count, distance sum, unreachable count), smallest mask kept."""
+    pairs = list(itertools.combinations(range(n), 2))
+    signatures = {}
+    for mask in range(1 << len(pairs)):
+        adj = [set() for _ in range(n)]
+        for b, (i, j) in enumerate(pairs):
+            if mask >> b & 1:
+                adj[i].add(j)
+                adj[j].add(i)
+        dist = missing = 0
+        for v in range(n):
+            depth = {v: 0}
+            queue = [v]
+            for u in queue:
+                for w in adj[u] - depth.keys():
+                    depth[w] = depth[u] + 1
+                    queue.append(w)
+            dist += sum(depth.values())
+            missing += n - len(depth)
+        signatures.setdefault((bin(mask).count("1"), dist, missing), mask)
+    return signatures
+
+
+@pytest.mark.parametrize("n, classes", [(2, 2), (3, 4), (4, 11), (5, 34), (6, 156)])
+def test_graph_signatures_measure_one_graph_per_isomorphism_class(monkeypatch, n, classes):
+    # OEIS A000088 counts the graphs on n unlabelled vertices; the uncached scan is counted
+    measured = []
+    rows = bitgraph.graph_rows
+    monkeypatch.setattr(bitgraph, "graph_rows", lambda g, k: measured.append(g) or rows(g, k))
+    assert bitgraph.graph_signatures.__wrapped__(n) == scanned_signatures(n)
+    assert len(measured) == len(set(measured)) == classes
+
+
 @pytest.mark.parametrize(
     "n,alpha,beta",
     [
@@ -1027,7 +1065,7 @@ def test_optimum_refuses_n8_with_its_graph_count(monkeypatch):
     def no_graph_scan(*args):
         raise AssertionError("the optimum guard admitted the graph loop")
 
-    monkeypatch.setattr(equilibria, "adjacency_masks", no_graph_scan)
+    monkeypatch.setattr(equilibria, "graph_signatures", no_graph_scan)
     with pytest.raises(GuardExceeded, match=r"n <= 7, got 8: 2\^C\(8,2\) = 2\^28 graphs"):
         social_optimum_bruteforce(GameParams(8, F(1), F(2)))
 
