@@ -216,22 +216,22 @@ def _cmd_enumerate(args) -> int:
         override_guard=args.override_guard,
         max_coalition=args.max_coalition,
     )
+    prices, strong = result.prices, result.strong_prices
     lines = [
         f"mode {result.mode}",
         f"states-examined {result.states_examined}",
         f"equilibria {len(result.equilibria)}",
         f"disconnected {result.disconnected_count}",
-        f"optimum-cost {_fmt(result.optimum_cost)}",
-        f"best-cost {_fmt(result.best_cost)}",
-        f"worst-cost {_fmt(result.worst_cost)}",
-        f"pos {_fmt(result.pos)}",
-        f"poa {_fmt(result.poa)}",
+        f"optimum-cost {_fmt(prices.optimum_cost)}",
+        f"best-cost {_fmt(prices.best_cost)}",
+        f"worst-cost {_fmt(prices.worst_cost)}",
+        f"pos {_fmt(prices.pos)}",
+        f"poa {_fmt(prices.poa)}",
     ]
-    if result.mode == "strong":
-        count = len(result.strong_equilibria)
-        lines.append(f"strong-equilibria {count}")
-        lines.append(f"worst-strong-cost {_fmt(result.worst_strong_cost)}")
-        lines.append(f"spoa {_fmt(result.strong_poa)}")
+    if strong is not None:
+        lines.append(f"strong-equilibria {strong.equilibrium_count}")
+        lines.append(f"worst-strong-cost {_fmt(strong.worst_cost)}")
+        lines.append(f"spoa {_fmt(strong.poa)}")
     if result.iso_class_count is not None:
         lines.append(f"iso-classes {result.iso_class_count}")
     shown = result.iso_representatives if args.dedupe_iso else result.equilibria

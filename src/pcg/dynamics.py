@@ -54,6 +54,9 @@ class DynamicsPolicy:
     def __post_init__(self):
         check_int(self.max_steps, "max_steps", 1)
         check_int(self.seed, "seed", 0)
+        if self.move_rule is MoveRule.FIRST_IMPROVING and self.tie_rule is TieRule.CANONICAL_FIRST:
+            # first-improving takes strict improvements only, so it has no ties to break
+            raise ValueError("tie rule canonical-first needs move rule best, got first")
 
 
 @dataclass(frozen=True)

@@ -290,10 +290,12 @@ def check_max_coalition(n: int, max_coalition: Optional[int]) -> int:
 
 
 def check_enumeration(n: int, mode: str, max_coalition: Optional[int]) -> None:
-    """Refuse an enumeration mode or coalition cap that is out of range."""
+    """Refuse an enumeration mode or coalition cap that is out of range, and a cap outside strong mode."""
     if mode not in ("nash", "strong"):
         raise ValueError(f"mode must be 'nash' or 'strong', got {mode!r}")
     check_max_coalition(n, max_coalition)
+    if max_coalition is not None and mode != "strong":
+        raise ValueError(f"max_coalition needs mode 'strong', got mode {mode!r}")
 
 
 def is_strong(
@@ -574,14 +576,53 @@ def social_optimum_bruteforce(params: GameParams) -> OptimumResult:
 
 
 @dataclass(frozen=True)
+class PriceMetrics:
+    """Anarchy/stability ratios of one equilibrium kind, witnessed by its
+    first worst and first best state; found=False when the kind does not
+    exist at these parameters.  ``poa``/``pos`` are None when undefined (no
+    equilibrium, or an infinite cost)."""
+
+    found: bool
+    equilibrium_count: int
+    optimum_cost: Cost
+    worst_cost: Optional[Cost]
+    best_cost: Optional[Cost]
+    poa: Optional[Fraction]
+    pos: Optional[Fraction]
+    worst_state: Optional[StrategyVector]
+    best_state: Optional[StrategyVector]
+
+
+def _prices(states: Sequence[StrategyVector], scaled: list, to_cost: dict, optimum: Cost) -> PriceMetrics:
+    """The prices of ``states`` from their scaled integer costs, which ``to_cost`` converts."""
+    if not states:
+        return PriceMetrics(False, 0, optimum, None, None, None, None, None, None)
+    worst, best = max(scaled), min(scaled)
+    return PriceMetrics(
+        found=True,
+        equilibrium_count=len(states),
+        optimum_cost=optimum,
+        worst_cost=to_cost[worst],
+        best_cost=to_cost[best],
+        poa=_ratio(to_cost[worst], optimum),
+        pos=_ratio(to_cost[best], optimum),
+        worst_state=states[scaled.index(worst)],
+        best_state=states[scaled.index(best)],
+    )
+
+
+def _ratio(cost: Cost, opt: Cost) -> Optional[Fraction]:
+    return None if cost == INFINITE or opt == INFINITE else Fraction(cost) / Fraction(opt)
+
+
+@dataclass(frozen=True)
 class EnumerationResult:
     """Everything the full scan learned at one parameter point.
 
     ``equilibria`` lists Nash states in lexicographic order of the players'
-    target masks, player 0 first.  The strong fields are filled only in
-    mode ``strong``; iso fields only when ``dedupe_iso`` was requested.
-    ``poa``/``pos`` are None when undefined (no equilibrium, which cannot
-    happen for Nash mode at these sizes).
+    target masks, player 0 first, and ``prices`` summarises them.  The strong
+    fields are filled only in mode ``strong``; iso fields only when
+    ``dedupe_iso`` was requested.
     """
 
     params: GameParams
@@ -590,15 +631,10 @@ class EnumerationResult:
     equilibria: tuple
     costs: tuple
     disconnected_count: int
-    optimum_cost: Cost
-    worst_cost: Optional[Cost]
-    best_cost: Optional[Cost]
-    poa: Optional[Fraction]
-    pos: Optional[Fraction]
+    prices: PriceMetrics
     strong_equilibria: Optional[tuple] = None
     strong_costs: Optional[tuple] = None
-    worst_strong_cost: Optional[Cost] = None
-    strong_poa: Optional[Fraction] = None
+    strong_prices: Optional[PriceMetrics] = None
     iso_class_count: Optional[int] = None
     iso_representatives: Optional[tuple] = None
 
@@ -649,10 +685,6 @@ def enumerate_equilibria(
     disconnected = sum(1 for hit in hits if hit[3])
 
     optimum = theory.social_optimum_class(params).cost
-    worst = to_cost[max(to_cost)] if to_cost else None
-    best = to_cost[min(to_cost)] if to_cost else None
-    poa = _ratio(worst, optimum)
-    pos = _ratio(best, optimum)
 
     reps, verdicts = [], []  # the first state of each class in scan order; each state's strong verdict
     if mode == "strong" or dedupe_iso:
@@ -665,14 +697,12 @@ def enumerate_equilibria(
                 classes.update(dict.fromkeys(_orbit(hit[1]), verdict))
             verdicts.append(verdict)
 
-    strong_states = strong_costs = worst_strong = strong_poa = None
+    strong_states = strong_costs = strong_prices = None
     if mode == "strong":
-        picked = [(s, c) for s, c, verdict in zip(states, scaled, verdicts) if verdict]
-        strong_states = tuple(s for s, _ in picked)
-        strong_costs = tuple(to_cost[c] for _, c in picked)
-        if picked:
-            worst_strong = to_cost[max(c for _, c in picked)]
-            strong_poa = _ratio(worst_strong, optimum)
+        strong_states = tuple(itertools.compress(states, verdicts))
+        strong_scaled = list(itertools.compress(scaled, verdicts))
+        strong_costs = tuple(map(to_cost.__getitem__, strong_scaled))
+        strong_prices = _prices(strong_states, strong_scaled, to_cost, optimum)
 
     iso_count = iso_reps = None
     if dedupe_iso:
@@ -685,40 +715,13 @@ def enumerate_equilibria(
         equilibria=states,
         costs=costs,
         disconnected_count=disconnected,
-        optimum_cost=optimum,
-        worst_cost=worst,
-        best_cost=best,
-        poa=poa,
-        pos=pos,
+        prices=_prices(states, scaled, to_cost, optimum),
         strong_equilibria=strong_states,
         strong_costs=strong_costs,
-        worst_strong_cost=worst_strong,
-        strong_poa=strong_poa,
+        strong_prices=strong_prices,
         iso_class_count=iso_count,
         iso_representatives=iso_reps,
     )
-
-
-def _ratio(worst: Optional[Cost], opt: Cost) -> Optional[Fraction]:
-    if worst is None:
-        return None
-    if worst == INFINITE or opt == INFINITE:
-        return None
-    return Fraction(worst) / Fraction(opt)
-
-
-@dataclass(frozen=True)
-class PriceMetrics:
-    """Anarchy/stability ratios from one enumeration; found=False when the
-    requested equilibrium kind does not exist at these parameters."""
-
-    found: bool
-    equilibrium_count: int
-    optimum_cost: Cost
-    poa: Optional[Fraction]
-    pos: Optional[Fraction]
-    worst_state: Optional[StrategyVector]
-    best_state: Optional[StrategyVector]
 
 
 def price_metrics(
@@ -728,29 +731,6 @@ def price_metrics(
     override_guard: bool = False,
     max_coalition: Optional[int] = None,
 ) -> PriceMetrics:
-    result = enumerate_equilibria(
-        params,
-        mode,
-        override_guard=override_guard,
-        max_coalition=max_coalition,
-    )
-    if mode == "strong":
-        states, costs = result.strong_equilibria, result.strong_costs
-    else:
-        states, costs = result.equilibria, result.costs
-    if not states:
-        return PriceMetrics(False, 0, result.optimum_cost, None, None, None, None)
-    if mode == "strong":
-        worst, best, poa = result.worst_strong_cost, min(costs), result.strong_poa
-        pos = _ratio(best, result.optimum_cost)
-    else:
-        worst, best, poa, pos = result.worst_cost, result.best_cost, result.poa, result.pos
-    return PriceMetrics(
-        found=True,
-        equilibrium_count=len(states),
-        optimum_cost=result.optimum_cost,
-        poa=poa,
-        pos=pos,
-        worst_state=states[costs.index(worst)],  # the first worst and the first best state
-        best_state=states[costs.index(best)],
-    )
+    """The prices of the Nash or the strong equilibria at ``params``, from one enumeration."""
+    result = enumerate_equilibria(params, mode, override_guard=override_guard, max_coalition=max_coalition)
+    return result.strong_prices if mode == "strong" else result.prices

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Iterator, Optional, TextIO, Tuple
 
 from . import theory
-from .equilibria import GuardExceeded, check_enumeration, enumerate_equilibria
+from .equilibria import GuardExceeded, check_enumeration, check_max_coalition, enumerate_equilibria
 from .game import GameParams, as_penalty, as_rational
 from .stateio import format_value
 
@@ -55,8 +55,9 @@ class SweepSpec:
         object.__setattr__(self, "alphas", tuple(as_rational(a) for a in self.alphas))
         object.__setattr__(self, "betas", tuple(as_penalty(b) for b in self.betas))
         tuple(self.points())  # every grid point must be valid
-        for n in self.ns:
-            check_enumeration(n, self.mode, self.max_coalition)
+        for n in self.ns:  # the range of a cap at every n, before the mode may refuse it
+            check_max_coalition(n, self.max_coalition)
+        check_enumeration(self.ns[0], self.mode, self.max_coalition)
 
     def points(self) -> Iterator[GameParams]:
         for n in self.ns:
@@ -91,20 +92,19 @@ def sweep_records(spec: SweepSpec) -> Iterator[tuple]:
             yield tuple(base.get(col, "") for col in CSV_COLUMNS)
             continue
         opt_class = theory.social_optimum_class(params)
+        prices, strong = result.prices, result.strong_prices
         base.update(
             optimum_class="+".join(opt_class.names()),
-            optimum_cost=_fmt(result.optimum_cost),
-            ne_count=str(len(result.equilibria)),
-            worst_ne_cost=_fmt(result.worst_cost),
-            poa=_fmt(result.poa),
-            pos=_fmt(result.pos),
+            optimum_cost=_fmt(prices.optimum_cost),
+            ne_count=str(prices.equilibrium_count),
+            worst_ne_cost=_fmt(prices.worst_cost),
+            poa=_fmt(prices.poa),
+            pos=_fmt(prices.pos),
             disconnected_ne_count=str(result.disconnected_count),
         )
-        if spec.mode == "strong":
+        if strong is not None:
             base.update(
-                se_count=str(len(result.strong_equilibria)),
-                worst_se_cost=_fmt(result.worst_strong_cost),
-                spoa=_fmt(result.strong_poa),
+                se_count=str(strong.equilibrium_count), worst_se_cost=_fmt(strong.worst_cost), spoa=_fmt(strong.poa)
             )
         yield tuple(base.get(col, "") for col in CSV_COLUMNS)
 

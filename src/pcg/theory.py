@@ -173,12 +173,11 @@ def component_conditions(label: StructureLabel, alpha, beta) -> BoundEvaluation:
         checks.append(_check("beta-cap", "beta <= 2", b, Fraction(2), b <= 2))
         checks.append(_check("alpha-cap", "alpha <= 1", a, Fraction(1), a <= 1))
     elif name == "cycle" and label.length == 5:
-        window = (a + 11) / 5
-        checks.append(_check("alpha-lower", "3 <= alpha", Fraction(3), a, a >= 3))
+        # exact: the cyclic orientations are Nash on this polygon, the others only at (1, 2)
+        window = min((2 * a + 8) / 5, (a + 11) / 5)
+        checks.append(_check("alpha-lower", "1 <= alpha", Fraction(1), a, a >= 1))
         checks.append(_check("alpha-upper", "alpha <= 4", a, Fraction(4), a <= 4))
-        checks.append(
-            _check("beta-window", "beta <= (alpha + 11)/5", b, window, b <= window)
-        )
+        checks.append(_check("beta-window", "beta <= min((2*alpha + 8)/5, (alpha + 11)/5)", b, window, b <= window))
     else:
         raise ValueError(f"no analytic condition in scope for label {label}")
     return BoundEvaluation(subject=str(label), checks=tuple(checks))

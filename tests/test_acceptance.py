@@ -73,8 +73,8 @@ def empty_state(n):
 
 
 def record_enumeration(params, result):
-    if result.poa is not None:
-        ENUMERATED_POA.append((params.n, result.poa))
+    if result.prices.poa is not None:
+        ENUMERATED_POA.append((params.n, result.prices.poa))
     found = []
     for st in result.equilibria:
         if all(not s for s in st.strategies):
@@ -217,17 +217,17 @@ def test_criterion_05_poa_values():
         result = enumerate_equilibria(params)
         record_enumeration(params, result)
         empty_cost = social_cost(empty_state(5), params)
-        assert empty_cost / result.optimum_cost == F(25, 22)
+        assert empty_cost / result.prices.optimum_cost == F(25, 22)
         assert params.beta * params.n / (params.alpha + 2 * (params.n - 1)) == F(25, 22)
         assert empty_state(5) in result.equilibria
-        assert result.poa >= F(25, 22)
+        assert result.prices.poa >= F(25, 22)
 
         params = GameParams(4, F(1, 2), F(7, 5))
         result = enumerate_equilibria(params)
         record_enumeration(params, result)
         assert empty_state(4) in result.equilibria
-        assert result.worst_cost == social_cost(empty_state(4), params)
-        assert result.poa == 2 * params.beta / (params.alpha + 2) == F(28, 25) < F(4, 3)
+        assert result.prices.worst_cost == social_cost(empty_state(4), params)
+        assert result.prices.poa == 2 * params.beta / (params.alpha + 2) == F(28, 25) < F(4, 3)
 
         assert len(ENUMERATED_POA) >= 50
         for n, poa in ENUMERATED_POA:
@@ -275,7 +275,7 @@ def test_criterion_07_strong_equilibria():
                 result = enumerate_equilibria(params, mode="strong")
                 assert set(result.strong_equilibria) <= set(result.equilibria)
                 for cost in result.strong_costs:
-                    assert cost <= 4 * result.optimum_cost, (params, cost)
+                    assert cost <= 4 * result.prices.optimum_cost, (params, cost)
         assert time.perf_counter() - t0 < 900.0
 
 

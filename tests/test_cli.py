@@ -337,6 +337,39 @@ def test_sweep_n6_override_skips_only_the_state_budget_point(capsys):
     assert rows[1][CSV_COLUMNS.index("ne_count")] == "2887"
 
 
+def report_lines(capsys, *argv):
+    """The ``key value`` lines that head a report, by key."""
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    return dict(line.split(" ", 1) for line in out.split("\n\n")[0].splitlines())
+
+
+@pytest.mark.parametrize("mode", ["nash", "strong"])
+def test_poa_enumerate_and_sweep_report_the_same_prices(capsys, mode):
+    grid = ["--n", "3,4", "--alpha", "1/2,1,3/2,2,3", "--beta", "3/2,2,5/2,3,inf", "--mode", mode]
+    code, out, _ = run_cli(capsys, "sweep", *grid)
+    assert code == 0
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert len(rows) == 50
+    for row in rows:
+        point = ["--n", row["n"], "--alpha", row["alpha"], "--beta", row["beta"], "--mode", mode]
+        poa, enum = report_lines(capsys, "poa", *point), report_lines(capsys, "enumerate", *point)
+        row = {column: value or "none" for column, value in row.items()}  # the CSV leaves an undefined value empty
+        assert poa["mode"] == enum["mode"] == mode
+        assert poa["optimum-cost"] == enum["optimum-cost"] == row["optimum_cost"]
+        nash = [enum[key] for key in ("equilibria", "worst-cost", "poa", "pos")]
+        assert nash == [row[column] for column in ("ne_count", "worst_ne_cost", "poa", "pos")]
+        if mode == "strong":
+            count, price = enum["strong-equilibria"], enum["spoa"]
+            strong = [count, enum["worst-strong-cost"], price]
+            assert strong == [row[column] for column in ("se_count", "worst_se_cost", "spoa")]
+        else:
+            count, price = enum["equilibria"], enum["poa"]
+            assert poa["pos"] == enum["pos"]
+        assert (poa["equilibria"], poa["poa"]) == (count, price)
+        assert poa["found"] == ("false" if count == "0" else "true")
+
+
 def test_sweep_records_api_matches_cli(tmp_path, capsys):
     spec = SweepSpec(ns=[4], alphas=[F(1)], betas=[F(3)])
     rows = list(sweep_records(spec))
@@ -370,7 +403,7 @@ def test_sweep_spec_max_coalition_checked_at_every_n():
         SweepSpec(ns=[3], alphas=[F(1)], betas=[F(2)], max_coalition=0)
     with pytest.raises(ValueError, match="max_coalition must be an integer in 1..3, got 4"):
         SweepSpec(ns=[4, 3], alphas=[F(1)], betas=[F(2)], max_coalition=4)
-    assert SweepSpec(ns=[3, 4], alphas=[F(1)], betas=[F(2)], max_coalition=3).max_coalition == 3
+    assert SweepSpec(ns=[3, 4], alphas=[F(1)], betas=[F(2)], mode="strong", max_coalition=3).max_coalition == 3
 
 
 def test_sweep_spec_refuses_bool_options():
@@ -439,6 +472,21 @@ def test_max_coalition_out_of_range_exits_1(capsys, argv):
     code, out, err = run_cli(capsys, command, "--n", "3", "--alpha", "1", "--beta", "2", *flags)
     assert code == 1 and out == ""
     assert f"max_coalition must be an integer in 1..3, got {flags[1]}" in err
+
+
+@pytest.mark.parametrize("command", ["enumerate", "poa", "sweep"])
+def test_max_coalition_outside_strong_mode_exits_1(capsys, command):
+    code, out, err = run_cli(capsys, command, "--n", "4", "--alpha", "1", "--beta", "3", "--max-coalition", "2")
+    assert code == 1 and out == ""
+    assert err == "error: max_coalition needs mode 'strong', got mode 'nash'\n"
+
+
+def test_dynamics_refuses_canonical_first_under_first_improving(tmp_path, capsys):
+    path = tmp_path / "empty.txt"
+    main(["construct", "--kind", "empty", "--n", "4", "--alpha", "1", "--beta", "5", "--out", str(path)])
+    code, out, err = run_cli(capsys, "dynamics", "--state", str(path), "--policy", "first", "--tie", "canonical-first")
+    assert code == 1 and out == ""
+    assert err == "error: tie rule canonical-first needs move rule best, got first\n"
 
 
 def test_guard_exit_code(capsys):

@@ -243,6 +243,13 @@ def test_policy_validation():
         DynamicsPolicy(seed=-1)
 
 
+def test_policy_refuses_canonical_first_under_first_improving():
+    # first-improving never reads the tie rule, so this pair ran prefer-current in silence
+    with pytest.raises(ValueError, match="tie rule canonical-first needs move rule best, got first"):
+        DynamicsPolicy(move_rule=MoveRule.FIRST_IMPROVING, tie_rule=TieRule.CANONICAL_FIRST)
+    assert DynamicsPolicy(tie_rule=TieRule.CANONICAL_FIRST).move_rule is MoveRule.BEST_RESPONSE
+
+
 def test_policy_refuses_bool_integers():
     # True == 1 would pass as one step or seed 1
     with pytest.raises(ValueError, match="max_steps must be an integer >= 1, got True"):

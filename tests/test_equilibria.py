@@ -208,8 +208,11 @@ def test_best_response_agrees_with_exhaustive_min():
 
 
 def test_is_nash_and_step_agree_with_oracle():
+    # first-improving takes strict improvements only, so it pairs with prefer-current alone
     policies = [
-        DynamicsPolicy(move_rule=rule, tie_rule=tie) for rule in MoveRule for tie in TieRule
+        DynamicsPolicy(),
+        DynamicsPolicy(tie_rule=TieRule.CANONICAL_FIRST),
+        DynamicsPolicy(move_rule=MoveRule.FIRST_IMPROVING),
     ]
     verdicts = set()
     for state, p, costs in oracle_cases():
@@ -597,7 +600,7 @@ def test_enumeration_strong_with_dedupe_equals_separate_runs():
     both = enumerate_equilibria(p, mode="strong", dedupe_iso=True)
     assert both.strong_equilibria and both.iso_class_count < len(both.equilibria)
     iso_fields = {"iso_class_count", "iso_representatives"}
-    strong_fields = {"mode", "strong_equilibria", "strong_costs", "worst_strong_cost", "strong_poa"}
+    strong_fields = {"mode", "strong_equilibria", "strong_costs", "strong_prices"}
     for field in dataclasses.fields(both):
         value = getattr(both, field.name)
         if field.name not in iso_fields:
@@ -608,6 +611,27 @@ def test_enumeration_strong_with_dedupe_equals_separate_runs():
 
 README_SWEEP_ALPHAS = (F(1, 2), F(1), F(3, 2), F(2), F(3))
 README_SWEEP_BETAS = (F(3, 2), F(2), F(5, 2), F(3), INFINITE)
+
+
+def reference_prices(states, costs, opt):
+    """PriceMetrics as computed from a state list and its cost list alone."""
+    if not states:
+        return PriceMetrics(False, 0, opt, None, None, None, None, None, None)
+    worst, best = max(costs), min(costs)
+
+    def ratio(c):
+        return None if c == INFINITE or opt == INFINITE else F(c) / F(opt)
+
+    worst_at = best_at = None
+    for k, c in enumerate(costs):  # the first worst and the first best state, by hand
+        if worst_at is None and c == worst:
+            worst_at = k
+        if best_at is None and c == best:
+            best_at = k
+        if worst_at is not None and best_at is not None:
+            break
+    witnesses = states[worst_at], states[best_at]
+    return PriceMetrics(True, len(states), opt, worst, best, ratio(worst), ratio(best), *witnesses)
 
 
 def two_loop_class_tail(nash, mode, dedupe_iso, max_coalition):
@@ -624,12 +648,11 @@ def two_loop_class_tail(nash, mode, dedupe_iso, max_coalition):
                 verdict = verdicts[form] = is_strong(state, params, max_coalition).verdict
             if verdict:
                 picked.append((state, cost))
-        worst = max(c for _, c in picked) if picked else None
+        states, costs = tuple(s for s, _ in picked), tuple(c for _, c in picked)
         strong = dict(
-            strong_equilibria=tuple(s for s, _ in picked),
-            strong_costs=tuple(c for _, c in picked),
-            worst_strong_cost=worst,
-            strong_poa=equilibria._ratio(worst, nash.optimum_cost),
+            strong_equilibria=states,
+            strong_costs=costs,
+            strong_prices=reference_prices(states, costs, nash.prices.optimum_cost),
         )
     iso = {}
     if dedupe_iso:
@@ -657,14 +680,12 @@ def test_one_class_pass_matches_two_loops(mode, dedupe_iso, max_coalition):
 
 
 def assert_extrema_match_costs(r):
-    assert r.worst_cost == max(r.costs) and r.best_cost == min(r.costs)
-    assert r.poa == r.worst_cost / r.optimum_cost
-    assert r.pos == r.best_cost / r.optimum_cost
-    if r.mode == "strong" and r.strong_costs:
-        assert r.worst_strong_cost == max(r.strong_costs)
-        assert r.strong_poa == r.worst_strong_cost / r.optimum_cost
-    elif r.mode == "strong":
-        assert r.worst_strong_cost is None and r.strong_poa is None
+    opt = r.prices.optimum_cost
+    assert r.prices == reference_prices(r.equilibria, r.costs, opt)
+    if r.mode == "strong":
+        assert r.strong_prices == reference_prices(r.strong_equilibria, r.strong_costs, opt)
+    else:
+        assert r.strong_prices is None
 
 
 @pytest.mark.parametrize("mode", ["nash", "strong"])
@@ -683,7 +704,7 @@ def test_cost_extrema_are_those_of_the_cost_list(mode):
 def test_cost_extrema_at_the_paper_points():
     r = enumerate_equilibria(GameParams(5, F(3), F(5, 2)))
     assert_extrema_match_costs(r)
-    assert r.poa == F(25, 22)
+    assert r.prices.poa == F(25, 22)
     r = enumerate_equilibria(GameParams(5, F(1), F(3)))
     assert_extrema_match_costs(r)
     assert len(r.equilibria) == 43728
@@ -736,8 +757,8 @@ def test_enumeration_takes_the_optimum_from_the_closed_form(monkeypatch):
     monkeypatch.setattr(equilibria, "social_optimum_bruteforce", no_brute_force)
     for point, cost in zip(points, brute):
         r = enumerate_equilibria(GameParams(*point))
-        assert r.optimum_cost == cost, point
-    assert r.poa == F(25, 22)
+        assert r.prices.optimum_cost == cost, point
+    assert r.prices.poa == F(25, 22)
 
 
 def test_max_coalition_refused_before_the_scan(monkeypatch):
@@ -749,6 +770,16 @@ def test_max_coalition_refused_before_the_scan(monkeypatch):
         for cap in (0, -1, 4):
             with pytest.raises(ValueError, match=f"max_coalition must be an integer in 1..3, got {cap}"):
                 enumerate_equilibria(GameParams(3, F(1), F(2)), mode, max_coalition=cap)
+
+
+def test_max_coalition_refused_outside_strong_mode(monkeypatch):
+    # a cap in range used to be ignored in nash mode
+    monkeypatch.setattr(_Engine, "scan_graphs", lambda *args: pytest.fail("scanned before refusing the cap"))
+    p = GameParams(3, F(1), F(2))
+    for call in (enumerate_equilibria, price_metrics):
+        for cap in (1, 3):
+            with pytest.raises(ValueError, match="max_coalition needs mode 'strong', got mode 'nash'"):
+                call(p, "nash", max_coalition=cap)
 
 
 def test_enumeration_guards():
@@ -958,7 +989,7 @@ def test_strong_enumeration_at_n6(beta, ne, classes, se):
     r = enumerate_equilibria(GameParams(6, alpha, beta), "strong", dedupe_iso=True, override_guard=True)
     assert (len(r.equilibria), r.iso_class_count, len(r.strong_equilibria)) == (ne, classes, se)
     assert set(r.strong_equilibria) <= set(r.equilibria)
-    assert r.strong_poa == 1 <= 4
+    assert r.strong_prices.poa == 1 <= 4
 
 
 def test_dedupe_iso_classes_match_canonical_forms_at_n6():
@@ -1090,29 +1121,12 @@ def test_price_metrics_no_strong_equilibria():
 
 
 def reference_price_metrics(params, mode):
-    """price_metrics as computed from the cost list alone."""
+    """price_metrics from the enumeration's cost list and the brute-force optimum."""
     result = enumerate_equilibria(params, mode)
+    opt = social_optimum_bruteforce(params).cost
     if mode == "strong":
-        states, costs = result.strong_equilibria, result.strong_costs
-    else:
-        states, costs = result.equilibria, result.costs
-    if not states:
-        return PriceMetrics(False, 0, result.optimum_cost, None, None, None, None)
-    worst, best = max(costs), min(costs)
-    opt = result.optimum_cost
-
-    def ratio(c):
-        return None if c == INFINITE or opt == INFINITE else F(c) / F(opt)
-
-    worst_at = best_at = None
-    for k, c in enumerate(costs):  # the first worst and the first best state, by hand
-        if worst_at is None and c == worst:
-            worst_at = k
-        if best_at is None and c == best:
-            best_at = k
-        if worst_at is not None and best_at is not None:
-            break
-    return PriceMetrics(True, len(states), opt, ratio(worst), ratio(best), states[worst_at], states[best_at])
+        return reference_prices(result.strong_equilibria, result.strong_costs, opt)
+    return reference_prices(result.equilibria, result.costs, opt)
 
 
 @pytest.mark.parametrize("mode", ["nash", "strong"])

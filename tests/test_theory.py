@@ -150,6 +150,11 @@ def test_tree_and_star_condition():
         assert not cond(label, F(3, 2), F(2))
 
 
+def cyclic_five_cycle_is_nash(n, alpha, beta):
+    """is_nash on the cyclic five-cycle plus n - 5 bystanders."""
+    return is_nash(canonical_state(CanonicalKind.parse("cycle:5"), n), GameParams(n, alpha, beta)).verdict
+
+
 def test_cycle5_condition_window():
     c5 = StructureLabel("cycle", length=5)
     assert cond(c5, F(7, 2), F(29, 10))  # beta exactly (alpha+11)/5
@@ -157,7 +162,26 @@ def test_cycle5_condition_window():
     assert cond(c5, F(4), F(3))
     assert not cond(c5, F(7, 2), F(3))
     assert not cond(c5, F(5), F(5, 2))
-    assert not cond(c5, F(5, 2), F(2))
+    # (5/2, 2) lies under beta = (2 alpha + 8)/5, and the state is Nash there: alpha >= 3 was too strict
+    assert cond(c5, F(5, 2), F(2)) and cyclic_five_cycle_is_nash(6, F(5, 2), F(2))
+    assert component_conditions(c5, F(5, 2), F(2)).check("beta-window").right == F(13, 5)
+
+
+def test_cycle5_condition_is_the_nash_region():
+    c5 = StructureLabel("cycle", length=5)
+    vertices = [(F(1), F(2)), (F(3), F(14, 5)), (F(4), F(3))]
+    step = F(1, 100)
+    outside = [(F(1) - step, F(2)), (F(1), F(2) + step), (F(3), F(14, 5) + step)]
+    outside += [(F(4), F(3) + step), (F(4) + step, F(3))]
+    grid = [(F(i, 4), F(j, 10)) for i in range(2, 19) for j in range(11, 36)]  # alpha 1/2..9/2, beta 11/10..7/2
+    for n in (6, 7):
+        for alpha, beta in vertices:
+            assert cond(c5, alpha, beta) and cyclic_five_cycle_is_nash(n, alpha, beta), (n, alpha, beta)
+        for alpha, beta in outside:
+            assert not cond(c5, alpha, beta) and not cyclic_five_cycle_is_nash(n, alpha, beta), (n, alpha, beta)
+        inside = [point for point in grid if cyclic_five_cycle_is_nash(n, *point)]
+        assert inside == [point for point in grid if cond(c5, *point)], n
+        assert len(inside) == 202
 
 
 def test_conditions_out_of_scope():
@@ -326,7 +350,7 @@ def test_exact_one_claim_verified_by_enumeration():
 
     p = GameParams(3, F(40), F(2))
     r = enumerate_equilibria(p)
-    assert r.poa == 1
+    assert r.prices.poa == 1
     assert set(social_optimum_class(p).names()) == {"empty"}
 
 
@@ -456,7 +480,10 @@ def test_classify_region_permissive_point():
     assert "clique" not in excluded
     assert "clique-of-stars" not in excluded
     assert "tree" not in excluded
-    assert excluded["cycle:5"] == "3 <= alpha"
+    # (1, 2) is a vertex of the five-cycle region: the cyclic five-cycle with a bystander is Nash there
+    assert "cycle:5" not in excluded and cyclic_five_cycle_is_nash(6, F(1), F(2))
+    excluded = dict(classify_region(GameParams(6, F(1, 2), F(3, 2))).structure_exclusions)
+    assert excluded["cycle:5"] == "1 <= alpha" and not cyclic_five_cycle_is_nash(6, F(1, 2), F(3, 2))
 
 
 def test_classify_region_ncg():
